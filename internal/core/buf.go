@@ -25,6 +25,8 @@ import (
 
 func noop() {}
 
+func nofinish() error { return nil }
+
 // Open MPI-J's per-call native scratch allocation costs (malloc at
 // stage-in, free at release).
 const (
@@ -202,8 +204,8 @@ func (m *MPI) sendStageImpl(buf any, offset, count int, dt Datatype) (raw []byte
 			// charge either. This is the host half of the zero-copy
 			// datapath: with rendezvous borrowing downstream
 			// (nativempi), a large direct-buffer send moves exactly one
-			// host memcpy, at the receiver. See DESIGN.md §"Copy
-			// elision vs. the virtual-time invariant".
+			// host memcpy, at the receiver. See DESIGN.md §"Host
+			// datapath policy".
 			view := m.env.GetDirectBufferAddress(b)
 			return view[start : start+nbytes], noop, nil
 		}
@@ -231,7 +233,6 @@ func (m *MPI) sendStageImpl(buf any, offset, count int, dt Datatype) (raw []byte
 func (m *MPI) recvStageImpl(buf any, offset, count int, dt Datatype) (raw []byte, finish func() error, free func(), err error) {
 	dt.checkUsable("recv")
 	nbytes := count * dt.Size()
-	nofinish := func() error { return nil }
 	switch b := buf.(type) {
 	case jvm.Array:
 		if b.Kind() != dt.Kind() {

@@ -161,6 +161,55 @@ func TestProcNullPointToPoint(t *testing.T) {
 		if st.Source != ProcNull || st.Bytes != 0 {
 			return fmt.Errorf("ProcNull recv status %+v", st)
 		}
+
+		// The non-blocking forms complete immediately too, and none of
+		// the null operations costs a bindings crossing.
+		before, calls := m.Clock().Now(), m.JNI().Stats().Calls
+		sreq, err := c.Isend(arr, 4, INT, ProcNull, 3)
+		if err != nil {
+			return fmt.Errorf("Isend to ProcNull: %w", err)
+		}
+		if _, done, err := sreq.Test(); !done || err != nil {
+			return fmt.Errorf("Isend to ProcNull: done %v, err %v", done, err)
+		}
+		rreq, err := c.Irecv(arr, 4, INT, ProcNull, 5)
+		if err != nil {
+			return fmt.Errorf("Irecv from ProcNull: %w", err)
+		}
+		st, err = rreq.Wait()
+		if err != nil || st != (Status{Source: ProcNull, Tag: 5}) {
+			return fmt.Errorf("Irecv from ProcNull: status %+v, err %v", st, err)
+		}
+		st, err = c.Sendrecv(arr, 4, INT, ProcNull, 0, arr, 4, INT, ProcNull, 6)
+		if err != nil || st != (Status{Source: ProcNull, Tag: 6}) {
+			return fmt.Errorf("Sendrecv with both legs null: status %+v, err %v", st, err)
+		}
+		if now, n := m.Clock().Now(), m.JNI().Stats().Calls; now != before || n != calls {
+			return fmt.Errorf("ProcNull operations advanced the clock by %v over %d JNI calls", now.Sub(before), n-calls)
+		}
+		if err := Waitall([]*Request{sreq, rreq}); err != nil {
+			return err
+		}
+
+		// Sendrecv with one null leg is the other leg's blocking call:
+		// rank 0 only sends, rank 1 only receives.
+		peer, me := 1-c.Rank(), c.Rank()
+		out := m.JVM().MustArray(jvm.Int, 4)
+		fillArray(out, int64(40+me))
+		if me == 0 {
+			st, err = c.Sendrecv(out, 4, INT, peer, 9, arr, 4, INT, ProcNull, 9)
+			if err != nil || st.Source != ProcNull {
+				return fmt.Errorf("Sendrecv with a null receive: status %+v, err %v", st, err)
+			}
+			return nil
+		}
+		st, err = c.Sendrecv(out, 4, INT, ProcNull, 9, arr, 4, INT, peer, 9)
+		if err != nil || st.Source != peer || st.Bytes != 16 {
+			return fmt.Errorf("Sendrecv with a null send: status %+v, err %v", st, err)
+		}
+		if got := arr.Int(0); got != 40 {
+			return fmt.Errorf("Sendrecv with a null send: received %d, want 40", got)
+		}
 		return nil
 	})
 	if err != nil {

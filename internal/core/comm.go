@@ -87,26 +87,15 @@ func (c *Comm) Send(buf any, count int, dt Datatype, dst, tag int) error {
 // layer. The Open MPI-J flavor, whose API dropped the offset argument,
 // rejects non-zero offsets.
 func (c *Comm) SendRange(buf any, offset, count int, dt Datatype, dst, tag int) error {
-	if dst == ProcNull {
-		return nil // MPI_PROC_NULL: completes without communicating
-	}
 	if offset != 0 && c.mpi.flavor == OpenMPIJ {
 		return fmt.Errorf("%w: the Open MPI Java API has no offset argument", ErrUnsupported)
 	}
-	c.mpi.enterNative()
-	if vec, vfree, ok, err := c.mpi.sendStageVec(buf, offset, count, dt); ok {
-		if err != nil {
-			return err
-		}
-		defer vfree()
-		return c.native.SendVec(vec, dst, tag)
-	}
-	raw, free, err := c.mpi.sendStage(buf, offset, count, dt)
-	if err != nil {
+	var req Request
+	if err := c.isend(&req, buf, offset, count, &dt, dst, tag); err != nil {
 		return err
 	}
-	defer free()
-	return c.native.Send(raw, dst, tag)
+	_, err := req.waitNoCharge()
+	return err
 }
 
 // Recv performs a blocking receive of up to count dt elements into buf.
@@ -116,35 +105,14 @@ func (c *Comm) Recv(buf any, count int, dt Datatype, src, tag int) (Status, erro
 
 // RecvRange is the receive side of the offset extension.
 func (c *Comm) RecvRange(buf any, offset, count int, dt Datatype, src, tag int) (Status, error) {
-	if src == ProcNull {
-		// MPI_PROC_NULL: an empty receive with source PROC_NULL.
-		return Status{Source: ProcNull, Tag: tag}, nil
-	}
 	if offset != 0 && c.mpi.flavor == OpenMPIJ {
 		return Status{}, fmt.Errorf("%w: the Open MPI Java API has no offset argument", ErrUnsupported)
 	}
-	c.mpi.enterNative()
-	if vec, vfree, ok, err := c.mpi.recvStageVec(buf, offset, count, dt); ok {
-		if err != nil {
-			return Status{}, err
-		}
-		defer vfree()
-		st, err := c.native.RecvVec(vec, src, tag)
-		return fromNative(st), err
-	}
-	raw, finish, free, err := c.mpi.recvStage(buf, offset, count, dt)
-	if err != nil {
+	var req Request
+	if err := c.irecv(&req, buf, offset, count, &dt, src, tag); err != nil {
 		return Status{}, err
 	}
-	defer free()
-	st, err := c.native.Recv(raw, src, tag)
-	if err != nil {
-		return fromNative(st), err
-	}
-	if err := finish(); err != nil {
-		return fromNative(st), err
-	}
-	return fromNative(st), nil
+	return req.waitNoCharge()
 }
 
 // Isend starts a non-blocking send. Under the Open MPI-J flavor, Java
@@ -154,28 +122,11 @@ func (c *Comm) Isend(buf any, count int, dt Datatype, dst, tag int) (*Request, e
 	if _, isArray := buf.(jvm.Array); isArray && c.mpi.flavor == OpenMPIJ {
 		return nil, fmt.Errorf("%w: Open MPI-J does not support Java arrays with non-blocking point-to-point", ErrUnsupported)
 	}
-	c.mpi.enterNative()
-	if vec, vfree, ok, err := c.mpi.sendStageVec(buf, 0, count, dt); ok {
-		if err != nil {
-			return nil, err
-		}
-		req, err := c.native.IsendVec(vec, dst, tag)
-		if err != nil {
-			vfree()
-			return nil, err
-		}
-		return &Request{mpi: c.mpi, native: req, free: vfree}, nil
-	}
-	raw, free, err := c.mpi.sendStage(buf, 0, count, dt)
-	if err != nil {
+	req := new(Request)
+	if err := c.isend(req, buf, 0, count, &dt, dst, tag); err != nil {
 		return nil, err
 	}
-	req, err := c.native.Isend(raw, dst, tag)
-	if err != nil {
-		free()
-		return nil, err
-	}
-	return &Request{mpi: c.mpi, native: req, free: free}, nil
+	return req, nil
 }
 
 // Irecv starts a non-blocking receive, with the same Open MPI-J array
@@ -184,96 +135,89 @@ func (c *Comm) Irecv(buf any, count int, dt Datatype, src, tag int) (*Request, e
 	if _, isArray := buf.(jvm.Array); isArray && c.mpi.flavor == OpenMPIJ {
 		return nil, fmt.Errorf("%w: Open MPI-J does not support Java arrays with non-blocking point-to-point", ErrUnsupported)
 	}
-	c.mpi.enterNative()
-	if vec, vfree, ok, err := c.mpi.recvStageVec(buf, 0, count, dt); ok {
-		if err != nil {
-			return nil, err
-		}
-		req, err := c.native.IrecvVec(vec, src, tag)
-		if err != nil {
-			vfree()
-			return nil, err
-		}
-		return &Request{mpi: c.mpi, native: req, free: vfree}, nil
-	}
-	raw, finish, free, err := c.mpi.recvStage(buf, 0, count, dt)
-	if err != nil {
+	req := new(Request)
+	if err := c.irecv(req, buf, 0, count, &dt, src, tag); err != nil {
 		return nil, err
 	}
-	req, err := c.native.Irecv(raw, src, tag)
+	return req, nil
+}
+
+// isend is the one send path under every point-to-point call: one
+// bindings crossing, stage the buffer as a payload descriptor, hand it
+// to the native library. It fills in the caller's Request — on the
+// stack for the blocking calls, so they allocate nothing — and takes
+// the datatype by pointer (a 112-byte value this path would otherwise
+// copy per layer, per message). A send to ProcNull (MPI_PROC_NULL) is
+// already complete: no crossing, no staging, no communication.
+func (c *Comm) isend(r *Request, buf any, offset, count int, dt *Datatype, dst, tag int) error {
+	if dst == ProcNull {
+		*r = Request{mpi: c.mpi, waited: true}
+		return nil
+	}
+	c.mpi.enterNative()
+	pl, free, err := c.mpi.sendPayload(buf, offset, count, dt)
+	if err != nil {
+		return err
+	}
+	req, err := c.native.IsendPayload(pl, dst, tag)
 	if err != nil {
 		free()
-		return nil, err
+		return err
 	}
-	return &Request{mpi: c.mpi, native: req, finish: finish, free: free}, nil
+	*r = Request{mpi: c.mpi, native: req, free: free}
+	return nil
+}
+
+// irecv is isend's receive twin. A receive from ProcNull completes at
+// once as an empty message from ProcNull.
+func (c *Comm) irecv(r *Request, buf any, offset, count int, dt *Datatype, src, tag int) error {
+	if src == ProcNull {
+		*r = Request{mpi: c.mpi, waited: true, status: Status{Source: ProcNull, Tag: tag}}
+		return nil
+	}
+	c.mpi.enterNative()
+	pl, finish, free, err := c.mpi.recvPayload(buf, offset, count, dt)
+	if err != nil {
+		return err
+	}
+	req, err := c.native.IrecvPayload(pl, src, tag)
+	if err != nil {
+		free()
+		return err
+	}
+	*r = Request{mpi: c.mpi, native: req, finish: finish, free: free}
+	return nil
 }
 
 // Sendrecv exchanges messages without deadlock.
 func (c *Comm) Sendrecv(sendBuf any, sendCount int, sendType Datatype, dst, sendTag int,
 	recvBuf any, recvCount int, recvType Datatype, src, recvTag int) (Status, error) {
+	if dst == ProcNull || src == ProcNull {
+		// With a null leg nothing can deadlock: what is left is the
+		// other leg's blocking call (or nothing at all).
+		if err := c.SendRange(sendBuf, 0, sendCount, sendType, dst, sendTag); err != nil {
+			return Status{}, err
+		}
+		return c.RecvRange(recvBuf, 0, recvCount, recvType, src, recvTag)
+	}
+	// One bindings crossing for both legs; both staged before the
+	// receive is posted, then the send, then both waits.
 	c.mpi.enterNative()
-	svec, svfree, sok, err := c.mpi.sendStageVec(sendBuf, 0, sendCount, sendType)
-	if sok {
-		if err != nil {
-			return Status{}, err
-		}
-		defer svfree()
-	}
-	rvec, rvfree, rok, err := c.mpi.recvStageVec(recvBuf, 0, recvCount, recvType)
-	if rok {
-		if err != nil {
-			return Status{}, err
-		}
-		defer rvfree()
-	}
-	if !sok && !rok {
-		sraw, sfree, err := c.mpi.sendStage(sendBuf, 0, sendCount, sendType)
-		if err != nil {
-			return Status{}, err
-		}
-		defer sfree()
-		rraw, finish, rfree, err := c.mpi.recvStage(recvBuf, 0, recvCount, recvType)
-		if err != nil {
-			return Status{}, err
-		}
-		defer rfree()
-		st, err := c.native.Sendrecv(sraw, dst, sendTag, rraw, src, recvTag)
-		if err != nil {
-			return fromNative(st), err
-		}
-		return fromNative(st), finish()
-	}
-	// At least one side takes the iovec datapath: replicate the native
-	// Sendrecv sequence (receive posted first, then the send, then both
-	// waits) with the staging each side needs.
-	finish := func() error { return nil }
-	var rreq *nativempi.Request
-	if rok {
-		rreq, err = c.native.IrecvVec(rvec, src, recvTag)
-	} else {
-		var rraw []byte
-		var rfree func()
-		rraw, finish, rfree, err = c.mpi.recvStage(recvBuf, 0, recvCount, recvType)
-		if err != nil {
-			return Status{}, err
-		}
-		defer rfree()
-		rreq, err = c.native.Irecv(rraw, src, recvTag)
-	}
+	spl, sfree, err := c.mpi.sendPayload(sendBuf, 0, sendCount, &sendType)
 	if err != nil {
 		return Status{}, err
 	}
-	var sreq *nativempi.Request
-	if sok {
-		sreq, err = c.native.IsendVec(svec, dst, sendTag)
-	} else {
-		sraw, sfree, serr := c.mpi.sendStage(sendBuf, 0, sendCount, sendType)
-		if serr != nil {
-			return Status{}, serr
-		}
-		defer sfree()
-		sreq, err = c.native.Isend(sraw, dst, sendTag)
+	defer sfree()
+	rpl, finish, rfree, err := c.mpi.recvPayload(recvBuf, 0, recvCount, &recvType)
+	if err != nil {
+		return Status{}, err
 	}
+	defer rfree()
+	rreq, err := c.native.IrecvPayload(rpl, src, recvTag)
+	if err != nil {
+		return Status{}, err
+	}
+	sreq, err := c.native.IsendPayload(spl, dst, sendTag)
 	if err != nil {
 		return Status{}, err
 	}
@@ -383,6 +327,9 @@ func (r *Request) Wait() (Status, error) {
 // Waitall charges once for the whole batch, as the real waitAll is a
 // single JNI downcall.
 func (r *Request) waitNoCharge() (Status, error) {
+	if r.waited {
+		return r.status, r.err
+	}
 	st, err := r.native.Wait()
 	if err == nil && r.finish != nil {
 		err = r.finish()
@@ -452,13 +399,7 @@ func Waitall(reqs []*Request) error {
 			r.mpi.enterNative()
 			charged = true
 		}
-		var err error
-		if r.waited {
-			err = r.err
-		} else {
-			_, err = r.waitNoCharge()
-		}
-		if err != nil && first == nil {
+		if _, err := r.waitNoCharge(); err != nil && first == nil {
 			first = err
 		}
 	}

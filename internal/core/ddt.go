@@ -26,9 +26,9 @@ import (
 
 // vecEligible reports whether (buf, count, dt) takes the iovec
 // datapath. Eligibility is decided before any validation: an
-// ineligible call falls through to the classic staging path, which
-// performs the same checks and reports the same errors.
-func (m *MPI) vecEligible(buf any, count int, dt Datatype) bool {
+// ineligible call takes the classic staging path, which performs the
+// same checks and reports the same errors.
+func (m *MPI) vecEligible(buf any, count int, dt *Datatype) bool {
 	if !m.vecPath || m.collStaging {
 		return false
 	}
@@ -71,36 +71,39 @@ func buildVec(arr jvm.Array, raw []byte, offset, count int, dt Datatype) *native
 // free closes the critical region; callers must run it only after the
 // native operation has completed (Wait), because the transport may
 // still be reading from — or landing payload into — the pinned view.
-func (m *MPI) stageVec(buf any, offset, count int, dt Datatype, what string) (*nativempi.IOVec, func(), error) {
+func (m *MPI) stageVec(buf any, offset, count int, dt Datatype, what string) (nativempi.Payload, func(), error) {
 	dt.checkUsable(what)
 	arr := buf.(jvm.Array)
 	if arr.Kind() != dt.Kind() {
-		return nil, nil, fmt.Errorf("%w: %v array with %v datatype", ErrBufferType, arr.Kind(), dt)
+		return nativempi.Payload{}, nil, fmt.Errorf("%w: %v array with %v datatype", ErrBufferType, arr.Kind(), dt)
 	}
 	if err := checkCount(arrayNeed(offset, count, dt), arr.Len(), what); err != nil {
-		return nil, nil, err
+		return nativempi.Payload{}, nil, err
 	}
 	raw := m.env.GetPrimitiveArrayCritical(arr)
 	vec := buildVec(arr, raw, offset, count, dt)
-	return vec, func() { m.env.ReleasePrimitiveArrayCritical(arr) }, nil
+	return nativempi.Strided(vec), func() { m.env.ReleasePrimitiveArrayCritical(arr) }, nil
 }
 
-// sendStageVec stages a send iovec; ok reports eligibility (callers
-// fall back to sendStage when false).
-func (m *MPI) sendStageVec(buf any, offset, count int, dt Datatype) (vec *nativempi.IOVec, free func(), ok bool, err error) {
-	if !m.vecEligible(buf, count, dt) {
-		return nil, nil, false, nil
+// sendPayload stages a point-to-point send buffer and names it for the
+// transport: an iovec over the pinned array when the message takes the
+// non-contiguous datapath, the contiguous staged view otherwise.
+func (m *MPI) sendPayload(buf any, offset, count int, dt *Datatype) (nativempi.Payload, func(), error) {
+	if m.vecEligible(buf, count, dt) {
+		return m.stageVec(buf, offset, count, *dt, "send")
 	}
-	vec, free, err = m.stageVec(buf, offset, count, dt, "send")
-	return vec, free, true, err
+	raw, free, err := m.sendStage(buf, offset, count, *dt)
+	return nativempi.Contig(raw), free, err
 }
 
-// recvStageVec stages a receive iovec; the transport scatters the
-// payload in place, so there is no finish step — only the pin release.
-func (m *MPI) recvStageVec(buf any, offset, count int, dt Datatype) (vec *nativempi.IOVec, free func(), ok bool, err error) {
-	if !m.vecEligible(buf, count, dt) {
-		return nil, nil, false, nil
+// recvPayload is sendPayload for a landing area. The transport scatters
+// into an iovec in place, so that path has no unpack step — only the
+// pin release.
+func (m *MPI) recvPayload(buf any, offset, count int, dt *Datatype) (nativempi.Payload, func() error, func(), error) {
+	if m.vecEligible(buf, count, dt) {
+		pl, free, err := m.stageVec(buf, offset, count, *dt, "recv")
+		return pl, nofinish, free, err
 	}
-	vec, free, err = m.stageVec(buf, offset, count, dt, "recv")
-	return vec, free, true, err
+	raw, finish, free, err := m.recvStage(buf, offset, count, *dt)
+	return nativempi.Contig(raw), finish, free, err
 }

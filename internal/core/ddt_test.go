@@ -398,7 +398,7 @@ func TestDDTRoundTripStruct(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// The tentpole differential: gather-direct on vs. off
+// The datapath differential: direct vs. framed
 // ---------------------------------------------------------------------
 
 type ddtArtifacts struct {
@@ -413,13 +413,13 @@ type ddtArtifacts struct {
 // protocol tiers — eager, zero-copy rendezvous, RDMA placement — plus
 // contiguous eager traffic and a collective, capturing every
 // deterministic artifact and the host counters.
-func runDDTWorkload(nodes, ppn, workers int, gather nativempi.Switch) (ddtArtifacts, error) {
+func runDDTWorkload(nodes, ppn, workers int, framed bool) (ddtArtifacts, error) {
 	rec := trace.New(0)
 	met := metrics.NewRegistry()
 	var host nativempi.HostStats
 	cfg := mv2Config(nodes, ppn)
 	cfg.HeapSize = 48 << 20
-	cfg.Lib.DDTGatherDirect = gather
+	cfg.Lib.FramedDatapath = framed
 	cfg.EngineWorkers = workers
 	cfg.Trace = rec
 	cfg.Metrics = met
@@ -501,8 +501,8 @@ func runDDTWorkload(nodes, ppn, workers int, gather nativempi.Switch) (ddtArtifa
 		captured = append(captured, irecv.RawBytes()...)
 
 		// Contiguous eager traffic plus a collective, both small enough
-		// that contiguous zero-copy never engages — the off leg must
-		// report zero elisions.
+		// that no rendezvous engages — the framed leg must report zero
+		// elisions.
 		small := m.JVM().MustArray(jvm.Int, 64)
 		sink := m.JVM().MustArray(jvm.Int, 64)
 		fillArray(small, int64(100+me))
@@ -539,29 +539,32 @@ func runDDTWorkload(nodes, ppn, workers int, gather nativempi.Switch) (ddtArtifa
 	return a, nil
 }
 
-func assertSameDDTArtifacts(t *testing.T, on, off ddtArtifacts) {
+func assertSameDDTArtifacts(t *testing.T, direct, framed ddtArtifacts) {
 	t.Helper()
-	for r := range on.recvs {
-		if !bytes.Equal(on.recvs[r], off.recvs[r]) {
-			t.Errorf("rank %d: receive payload differs between gather-direct on/off", r)
+	for r := range direct.recvs {
+		if !bytes.Equal(direct.recvs[r], framed.recvs[r]) {
+			t.Errorf("rank %d: receive payload differs between the direct and framed datapaths", r)
 		}
-		if on.clocks[r] != off.clocks[r] {
-			t.Errorf("rank %d: final clock %d (on) vs %d (off)", r, on.clocks[r], off.clocks[r])
+		if direct.clocks[r] != framed.clocks[r] {
+			t.Errorf("rank %d: final clock %d (direct) vs %d (framed)", r, direct.clocks[r], framed.clocks[r])
 		}
 	}
-	if !bytes.Equal(on.trace, off.trace) {
-		t.Error("trace JSONL differs between gather-direct on/off")
+	if !bytes.Equal(direct.trace, framed.trace) {
+		t.Error("trace JSONL differs between the direct and framed datapaths")
 	}
-	if !bytes.Equal(on.met, off.met) {
-		t.Error("metrics JSON differs between gather-direct on/off")
+	if !bytes.Equal(direct.met, framed.met) {
+		t.Error("metrics JSON differs between the direct and framed datapaths")
 	}
 }
 
-// TestDDTZeroCopyDifferential is the tentpole guarantee: flipping
-// Profile.DDTGatherDirect changes host counters ONLY. Receive arrays,
-// final clocks, trace JSONL, and metrics JSON are byte-identical at
-// np∈{2,4,8} under both serial and parallel engine scheduling, while
-// the on leg provably elides the pack staging the off leg pays.
+// TestDDTZeroCopyDifferential is the strided guarantee: with the
+// bindings handing the transport iovecs on both runs, borrowing and
+// placing them directly versus packing them through the framed wire
+// image (Profile.FramedDatapath) changes host counters ONLY. Receive
+// arrays (gap bytes included), final clocks, trace JSONL, and metrics
+// JSON are byte-identical at np∈{2,4,8} under both serial and parallel
+// engine scheduling, while the direct leg provably elides the pack
+// staging the framed leg pays.
 func TestDDTZeroCopyDifferential(t *testing.T) {
 	shapes := []struct{ nodes, ppn int }{{1, 2}, {2, 2}, {2, 4}}
 	for _, sh := range shapes {
@@ -571,24 +574,29 @@ func TestDDTZeroCopyDifferential(t *testing.T) {
 				if testing.Short() && sh.nodes*sh.ppn*workers > 16 {
 					t.Skip("short mode")
 				}
-				on, err := runDDTWorkload(sh.nodes, sh.ppn, workers, nativempi.SwitchOn)
+				direct, err := runDDTWorkload(sh.nodes, sh.ppn, workers, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				off, err := runDDTWorkload(sh.nodes, sh.ppn, workers, nativempi.SwitchOff)
+				framed, err := runDDTWorkload(sh.nodes, sh.ppn, workers, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameDDTArtifacts(t, on, off)
-				if on.host.Copy.CopiesElided == 0 {
-					t.Error("gather-direct on: no copies elided")
+				assertSameDDTArtifacts(t, direct, framed)
+				if direct.host.Copy.CopiesElided == 0 || direct.host.RDMA.Writes == 0 {
+					t.Errorf("direct: %d copies elided, %d placement writes, want both > 0",
+						direct.host.Copy.CopiesElided, direct.host.RDMA.Writes)
 				}
-				if off.host.Copy.CopiesElided != 0 {
-					t.Errorf("gather-direct off: %d copies elided, want 0", off.host.Copy.CopiesElided)
+				if direct.host.Copy.FramedRndv != 0 {
+					t.Errorf("direct: %d rendezvous fell back to the framed leg on a clean fabric", direct.host.Copy.FramedRndv)
 				}
-				if on.host.Copy.BytesCopied >= off.host.Copy.BytesCopied {
-					t.Errorf("gather-direct on copied %d bytes, off copied %d — elision saved nothing",
-						on.host.Copy.BytesCopied, off.host.Copy.BytesCopied)
+				if framed.host.Copy.CopiesElided != 0 || framed.host.RDMA.Writes != 0 || framed.host.Copy.FramedRndv == 0 {
+					t.Errorf("framed: %d copies elided, %d placement writes, %d framed rendezvous, want 0, 0, > 0",
+						framed.host.Copy.CopiesElided, framed.host.RDMA.Writes, framed.host.Copy.FramedRndv)
+				}
+				if direct.host.Copy.BytesCopied >= framed.host.Copy.BytesCopied {
+					t.Errorf("direct copied %d bytes, framed copied %d — elision saved nothing",
+						direct.host.Copy.BytesCopied, framed.host.Copy.BytesCopied)
 				}
 			})
 		}
@@ -602,7 +610,7 @@ func TestDDTZeroCopyDifferential(t *testing.T) {
 func TestDDTFallbackUnderFaults(t *testing.T) {
 	dt := TypeVector(INT, 4, 8, 16)
 	dt.Commit()
-	const count, ext = 96, 56
+	const count, ext = 768, 56 // 96 KiB on the wire: rendezvous, so the fallback leg is exercised
 	cfg := mv2Config(2, 1)
 	cfg.Faults = faults.Uniform(7, 0.05)
 	var host nativempi.HostStats
@@ -635,6 +643,9 @@ func TestDDTFallbackUnderFaults(t *testing.T) {
 	}
 	if host.Copy.CopiesElided != 0 {
 		t.Errorf("fault plan active but %d copies elided", host.Copy.CopiesElided)
+	}
+	if host.Copy.FramedRndv == 0 {
+		t.Error("fault plan active but no rendezvous counted on the framed leg")
 	}
 }
 

@@ -70,10 +70,6 @@ func (p *PersistentRequest) Start() error {
 	if p.active != nil && !p.active.waited {
 		return fmt.Errorf("core: persistent request started while still active")
 	}
-	if p.peer == ProcNull {
-		p.active = &Request{mpi: p.c.mpi, waited: true, status: Status{Source: ProcNull, Tag: p.tag}}
-		return nil
-	}
 	var req *Request
 	var err error
 	if p.isSend {

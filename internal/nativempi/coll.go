@@ -33,19 +33,19 @@ func (c *Comm) waitRelease(req *Request) error {
 
 // csend/crecv are blocking sends/receives on the collective context.
 func (c *Comm) csend(buf []byte, dst, tag int) error {
-	return c.waitRelease(c.p.isendOn(buf, c.group[dst], tag, sendOpts{ctx: c.collCtx, coll: true}))
+	return c.waitRelease(c.p.isendOn(Contig(buf), c.group[dst], tag, sendOpts{ctx: c.collCtx, coll: true}))
 }
 
 func (c *Comm) crecv(buf []byte, src, tag int) error {
-	return c.waitRelease(c.p.irecvOn(buf, c.group[src], tag, sendOpts{ctx: c.collCtx, coll: true}))
+	return c.waitRelease(c.p.irecvOn(Contig(buf), c.group[src], tag, sendOpts{ctx: c.collCtx, coll: true}))
 }
 
 func (c *Comm) cisend(buf []byte, dst, tag int) *Request {
-	return c.p.isendOn(buf, c.group[dst], tag, sendOpts{ctx: c.collCtx, coll: true})
+	return c.p.isendOn(Contig(buf), c.group[dst], tag, sendOpts{ctx: c.collCtx, coll: true})
 }
 
 func (c *Comm) cirecv(buf []byte, src, tag int) *Request {
-	return c.p.irecvOn(buf, c.group[src], tag, sendOpts{ctx: c.collCtx, coll: true})
+	return c.p.irecvOn(Contig(buf), c.group[src], tag, sendOpts{ctx: c.collCtx, coll: true})
 }
 
 func (c *Comm) csendrecv(sendBuf []byte, dst int, recvBuf []byte, src, tag int) error {

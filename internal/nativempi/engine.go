@@ -70,9 +70,9 @@ type engineCell struct {
 }
 
 // engine is the per-Run scheduler instance. It is created by World.Run
-// and discarded when the run ends; a nil engine (w.eng empty) means
-// legacy direct-push serial semantics, used by the SPMD harness's
-// bare Proc access and by drainPending.
+// and discarded when the run ends; with no engine (w.eng empty) only
+// drainPending's acks and an out-of-Run Abort move packets, pushing
+// straight into the destination mailbox.
 type engine struct {
 	w       *World
 	workers int
@@ -321,7 +321,7 @@ func (e *engine) abortLocked(origin int, reason string) {
 		return
 	}
 	for _, q := range e.w.procs {
-		q.mb.push(&packet{kind: pktAbort, src: origin, data: []byte(reason)})
+		q.mb.push(&packet{kind: pktAbort, src: origin, data: Contig([]byte(reason))})
 	}
 	e.aborted = true
 	for r := range e.cells {

@@ -134,14 +134,10 @@ func (w *World) markDead(rank int, at vtime.Time) {
 			sentAt: at, arriveAt: confirmAt,
 		}
 		// markDead runs on the dying rank's goroutine while it still
-		// holds its execution token, so under the engine the notices go
-		// through its outbox like any other emission — flushed at the
-		// barrier its retirement triggers, in canonical merge order.
-		if eng != nil {
-			eng.emit(rank, q.rank, pkt)
-		} else {
-			q.mb.push(pkt)
-		}
+		// holds its execution token, so the notices go through its
+		// engine outbox like any other emission — flushed at the barrier
+		// its retirement triggers, in canonical merge order.
+		eng.emit(rank, q.rank, pkt)
 	}
 }
 
@@ -597,12 +593,12 @@ func (c *Comm) agree(flag uint64) (uint64, []int, int32, error) {
 			// fails at the coordinator's confirm time.
 			var cbuf [8]byte
 			binary.LittleEndian.PutUint64(cbuf[:], flag)
-			sreq := p.isendOn(cbuf[:], c.group[coord], tagC, sendOpts{ctx: recoveryCtx})
+			sreq := p.isendOn(Contig(cbuf[:]), c.group[coord], tagC, sendOpts{ctx: recoveryCtx})
 			if _, err := sreq.Wait(); err != nil && !errors.Is(err, ErrProcFailed) {
 				return 0, nil, 0, err
 			}
 			rbuf := make([]byte, 1+8+4+bm)
-			rreq := p.irecvOn(rbuf, c.group[coord], tagR, sendOpts{ctx: recoveryCtx})
+			rreq := p.irecvOn(Contig(rbuf), c.group[coord], tagR, sendOpts{ctx: recoveryCtx})
 			if _, err := rreq.Wait(); err != nil {
 				if errors.Is(err, ErrProcFailed) {
 					continue
@@ -638,7 +634,7 @@ func (c *Comm) agree(flag uint64) (uint64, []int, int32, error) {
 				continue
 			}
 			var buf [8]byte
-			rreq := p.irecvOn(buf[:], c.group[i], tagC, sendOpts{ctx: recoveryCtx})
+			rreq := p.irecvOn(Contig(buf[:]), c.group[i], tagC, sendOpts{ctx: recoveryCtx})
 			if _, err := rreq.Wait(); err != nil {
 				if errors.Is(err, ErrProcFailed) {
 					newDeath = true
@@ -700,7 +696,7 @@ func (c *Comm) agreeBroadcast(view map[int]bool, msg []byte, tag int) error {
 		if i == c.myRank || view[i] {
 			continue
 		}
-		sreq := p.isendOn(msg, c.group[i], tag, sendOpts{ctx: recoveryCtx})
+		sreq := p.isendOn(Contig(msg), c.group[i], tag, sendOpts{ctx: recoveryCtx})
 		if _, err := sreq.Wait(); err != nil && !errors.Is(err, ErrProcFailed) {
 			return err
 		}

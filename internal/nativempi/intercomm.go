@@ -134,7 +134,7 @@ func (ic *InterComm) Send(buf []byte, remoteRank, tag int) error {
 	if tag < 0 {
 		return fmt.Errorf("%w: tag %d", ErrTag, tag)
 	}
-	req := ic.local.p.isendOn(buf, ic.remote[remoteRank], tag, sendOpts{ctx: ic.ptCtx})
+	req := ic.local.p.isendOn(Contig(buf), ic.remote[remoteRank], tag, sendOpts{ctx: ic.ptCtx})
 	_, err := req.Wait()
 	return err
 }
@@ -148,7 +148,7 @@ func (ic *InterComm) Recv(buf []byte, remoteRank, tag int) (Status, error) {
 		}
 		wsrc = ic.remote[remoteRank]
 	}
-	req := ic.local.p.irecvOn(buf, wsrc, tag, sendOpts{ctx: ic.ptCtx})
+	req := ic.local.p.irecvOn(Contig(buf), wsrc, tag, sendOpts{ctx: ic.ptCtx})
 	st, err := req.Wait()
 	// Translate the world source into a remote-group rank.
 	for i, wr := range ic.remote {

@@ -10,7 +10,7 @@ import "fmt"
 // borrowing the whole descriptor on the zero-copy rendezvous path, or
 // scattering straight into the receiver's strided destination on the
 // RDMA placement path — without ever materialising an intermediate
-// packed image unless the datapath switch forces one.
+// packed image unless the framed datapath is in force.
 
 // Run is one contiguous byte extent of an IOVec, relative to Full[0].
 type Run struct {
@@ -63,48 +63,95 @@ func NewIOVec(full []byte, runs []Run) *IOVec {
 	return v
 }
 
-// gatherInto packs the runs into dst in order, stopping when dst is
-// full, and returns the bytes moved — one logical host memcpy however
-// many runs it touches.
-func (v *IOVec) gatherInto(dst []byte) int {
-	moved := 0
-	for _, r := range v.Runs {
-		if moved >= len(dst) {
-			break
-		}
-		moved += copy(dst[moved:], v.Full[r.Off:r.Off+r.Len])
-	}
-	return moved
+// Payload names one message's bytes everywhere the stack handles them,
+// from the bindings' staging to the receiver's copy-out: contiguous
+// bytes or a strided layout over the user's array. It is a value — a
+// slice header plus a pointer — so carrying it in a Request or a packet
+// allocates nothing. The zero value is the empty message.
+type Payload struct {
+	b   []byte
+	iov *IOVec
 }
 
-// scatterFrom unpacks a contiguous image into the runs in order,
-// stopping when src is exhausted, and returns the bytes moved.
-func (v *IOVec) scatterFrom(src []byte) int {
-	moved := 0
-	for _, r := range v.Runs {
-		if moved >= len(src) {
-			break
-		}
-		moved += copy(v.Full[r.Off:r.Off+r.Len], src[moved:])
+// Contig describes a contiguous payload.
+func Contig(b []byte) Payload { return Payload{b: b} }
+
+// Strided describes a non-contiguous payload — the derived-datatype
+// datapath. The runs (and the region they alias) must stay unmodified
+// until the operation completes, exactly like a contiguous buffer.
+func Strided(v *IOVec) Payload { return Payload{iov: v} }
+
+// size is the payload byte count (holes excluded).
+func (pl Payload) size() int {
+	if pl.iov != nil {
+		return pl.iov.N
 	}
-	return moved
+	return len(pl.b)
 }
 
-// vecCopy streams src's runs into dst's runs two-pointer style — the
-// strided-to-strided direct placement — and returns the bytes moved
-// (min of the two payload totals).
-func vecCopy(dst, src *IOVec) int {
-	moved := 0
-	di, doff := 0, 0
-	for _, sr := range src.Runs {
-		soff := 0
-		for soff < sr.Len && di < len(dst.Runs) {
-			dr := dst.Runs[di]
-			n := sr.Len - soff
-			if rem := dr.Len - doff; rem < n {
-				n = rem
-			}
-			copy(dst.Full[dr.Off+doff:dr.Off+doff+n], src.Full[sr.Off+soff:sr.Off+soff+n])
+// region is the memory the registration cache pins: the bytes
+// themselves, or a strided layout's whole spanning footprint (the NIC
+// pins pages, not runs).
+func (pl Payload) region() []byte {
+	if pl.iov != nil {
+		return pl.iov.Full
+	}
+	return pl.b
+}
+
+// strided reports a non-contiguous layout, however many runs it
+// coalesced into.
+func (pl Payload) strided() bool { return pl.iov != nil }
+
+// runs is the number of contiguous extents; the eager tier's CPU
+// pack/unpack charge is per run boundary.
+func (pl Payload) runs() int {
+	if pl.iov != nil {
+		return len(pl.iov.Runs)
+	}
+	return 1
+}
+
+// run returns extent i, relative to region()[0].
+func (pl Payload) run(i int) Run {
+	if pl.iov != nil {
+		return pl.iov.Runs[i]
+	}
+	return Run{Len: len(pl.b)}
+}
+
+// prefix bounds a contiguous landing to its first n bytes — what an
+// n-byte message into a larger buffer registers and exposes. A strided
+// landing keeps its layout: its spanning region is pinned whole, and
+// copyFrom stops at the shorter side anyway.
+func (pl Payload) prefix(n int) Payload {
+	if pl.iov == nil && n < len(pl.b) {
+		pl.b = pl.b[:n]
+	}
+	return pl
+}
+
+// copyFrom streams src's bytes into pl's layout in order, stopping at
+// the shorter side, and returns the bytes moved — one logical host
+// memcpy however many runs it touches. The contiguous pair (every
+// eager message) stays small enough to inline.
+func (pl Payload) copyFrom(src Payload) int {
+	if pl.iov == nil && src.iov == nil {
+		return copy(pl.b, src.b)
+	}
+	return pl.copyRuns(src)
+}
+
+// copyRuns is copyFrom's general case: a two-pointer merge over the two
+// run lists, whose boundaries need not line up.
+func (pl Payload) copyRuns(src Payload) int {
+	dfull, sfull := pl.region(), src.region()
+	moved, di, doff := 0, 0, 0
+	for si := 0; si < src.runs() && di < pl.runs(); si++ {
+		sr := src.run(si)
+		for soff := 0; soff < sr.Len && di < pl.runs(); {
+			dr := pl.run(di)
+			n := copy(dfull[dr.Off+doff:dr.Off+dr.Len], sfull[sr.Off+soff:sr.Off+sr.Len])
 			moved += n
 			soff += n
 			doff += n
@@ -112,12 +159,12 @@ func vecCopy(dst, src *IOVec) int {
 				di, doff = di+1, 0
 			}
 		}
-		if di == len(dst.Runs) {
-			break
-		}
 	}
 	return moved
 }
+
+// gatherInto packs the payload into a contiguous image.
+func (pl Payload) gatherInto(dst []byte) int { return Contig(dst).copyFrom(pl) }
 
 // CountHostCopy records one n-byte host payload memcpy performed by a
 // layer above the native runtime — bindings staging, MPI.Pack/Unpack,

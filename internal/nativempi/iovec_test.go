@@ -47,8 +47,8 @@ func TestIOVecGatherScatter(t *testing.T) {
 	for i := range full {
 		full[i] = byte(i)
 	}
-	v := NewIOVec(full, []Run{{Off: 2, Len: 4}, {Off: 10, Len: 2}, {Off: 20, Len: 6}})
-	img := make([]byte, v.N)
+	v := Strided(NewIOVec(full, []Run{{Off: 2, Len: 4}, {Off: 10, Len: 2}, {Off: 20, Len: 6}}))
+	img := make([]byte, v.size())
 	if moved := v.gatherInto(img); moved != 12 {
 		t.Fatalf("gathered %d bytes, want 12", moved)
 	}
@@ -58,8 +58,8 @@ func TestIOVecGatherScatter(t *testing.T) {
 	}
 
 	dstFull := make([]byte, 32)
-	d := NewIOVec(dstFull, []Run{{Off: 1, Len: 6}, {Off: 12, Len: 6}})
-	if moved := d.scatterFrom(img); moved != 12 {
+	d := Strided(NewIOVec(dstFull, []Run{{Off: 1, Len: 6}, {Off: 12, Len: 6}}))
+	if moved := d.copyFrom(Contig(img)); moved != 12 {
 		t.Fatalf("scattered %d bytes, want 12", moved)
 	}
 	if !bytes.Equal(dstFull[1:7], want[:6]) || !bytes.Equal(dstFull[12:18], want[6:]) {
@@ -70,43 +70,105 @@ func TestIOVecGatherScatter(t *testing.T) {
 	}
 }
 
-// TestVecCopyMismatchedRuns streams strided-to-strided layouts whose
-// run boundaries do not line up: the two-pointer merge must move the
-// same bytes a gather-then-scatter bounce would.
+// payloadShapes are the layouts the copyFrom tests cross: contiguous,
+// strided, and strided with run boundaries that line up with neither.
+// Each builds a fresh payload over its own zeroed 48-byte region.
+var payloadShapes = []struct {
+	name string
+	mk   func() (Payload, []byte)
+}{
+	{"contig16", func() (Payload, []byte) {
+		b := make([]byte, 48)
+		return Contig(b[4:20]), b
+	}},
+	{"contig9", func() (Payload, []byte) {
+		b := make([]byte, 48)
+		return Contig(b[:9]), b
+	}},
+	{"strided16a", func() (Payload, []byte) {
+		b := make([]byte, 48)
+		return Strided(NewIOVec(b, []Run{{Off: 0, Len: 5}, {Off: 8, Len: 7}, {Off: 30, Len: 4}})), b
+	}},
+	{"strided16b", func() (Payload, []byte) {
+		b := make([]byte, 48)
+		return Strided(NewIOVec(b, []Run{{Off: 2, Len: 3}, {Off: 10, Len: 9}, {Off: 25, Len: 4}})), b
+	}},
+	{"strided8", func() (Payload, []byte) {
+		b := make([]byte, 48)
+		return Strided(NewIOVec(b, []Run{{Off: 1, Len: 4}, {Off: 40, Len: 4}})), b
+	}},
+}
+
+// bounceCopy is the reference copyFrom is checked against: gather the
+// source into a packed image, then scatter the image into the
+// destination one run at a time.
+func bounceCopy(dst, src Payload) int {
+	img := make([]byte, src.size())
+	pos := 0
+	for i := 0; i < src.runs(); i++ {
+		r := src.run(i)
+		pos += copy(img[pos:], src.region()[r.Off:r.Off+r.Len])
+	}
+	moved := 0
+	for i := 0; i < dst.runs() && moved < len(img); i++ {
+		r := dst.run(i)
+		moved += copy(dst.region()[r.Off:r.Off+r.Len], img[moved:])
+	}
+	return moved
+}
+
+// TestVecCopyMismatchedRuns crosses every {contiguous, strided} source
+// with every {contiguous, strided} destination, including layouts whose
+// run boundaries do not line up and pairs of unequal size (the shorter
+// side truncates): the two-pointer merge must move the same bytes to
+// the same places a gather-then-scatter bounce would, and touch nothing
+// outside the destination's runs.
 func TestVecCopyMismatchedRuns(t *testing.T) {
-	srcFull := make([]byte, 48)
-	for i := range srcFull {
-		srcFull[i] = byte(i + 1)
-	}
-	src := NewIOVec(srcFull, []Run{{Off: 0, Len: 5}, {Off: 8, Len: 7}, {Off: 30, Len: 4}})
-	mkDst := func() (*IOVec, []byte) {
-		dstFull := make([]byte, 48)
-		return NewIOVec(dstFull, []Run{{Off: 2, Len: 3}, {Off: 10, Len: 9}, {Off: 25, Len: 4}}), dstFull
-	}
-
-	direct, directFull := mkDst()
-	if moved := vecCopy(direct, src); moved != 16 {
-		t.Fatalf("vecCopy moved %d bytes, want 16", moved)
-	}
-
-	bounce, bounceFull := mkDst()
-	img := make([]byte, src.N)
-	src.gatherInto(img)
-	bounce.scatterFrom(img)
-
-	if !bytes.Equal(directFull, bounceFull) {
-		t.Errorf("vecCopy differs from gather+scatter bounce:\n direct %v\n bounce %v", directFull, bounceFull)
+	for _, ss := range payloadShapes {
+		for _, ds := range payloadShapes {
+			src, srcFull := ss.mk()
+			for i := range srcFull {
+				srcFull[i] = byte(i + 1)
+			}
+			direct, directFull := ds.mk()
+			bounce, bounceFull := ds.mk()
+			want := min(src.size(), direct.size())
+			if moved := direct.copyFrom(src); moved != want {
+				t.Errorf("%s <- %s: copyFrom moved %d bytes, want %d", ds.name, ss.name, moved, want)
+			}
+			if moved := bounceCopy(bounce, src); moved != want {
+				t.Fatalf("%s <- %s: reference bounce moved %d bytes, want %d", ds.name, ss.name, moved, want)
+			}
+			if !bytes.Equal(directFull, bounceFull) {
+				t.Errorf("%s <- %s: copyFrom differs from gather+scatter bounce:\n direct %v\n bounce %v",
+					ds.name, ss.name, directFull, bounceFull)
+			}
+		}
 	}
 }
 
 func TestVecCopyTruncates(t *testing.T) {
-	src := NewIOVec(bytes.Repeat([]byte{7}, 16), []Run{{Off: 0, Len: 16}})
-	dst := NewIOVec(make([]byte, 16), []Run{{Off: 0, Len: 4}, {Off: 8, Len: 4}})
-	if moved := vecCopy(dst, src); moved != 8 {
-		t.Errorf("vecCopy into smaller dst moved %d, want 8", moved)
+	src := Strided(NewIOVec(bytes.Repeat([]byte{7}, 16), []Run{{Off: 0, Len: 16}}))
+	dst := Strided(NewIOVec(make([]byte, 16), []Run{{Off: 0, Len: 4}, {Off: 8, Len: 4}}))
+	if moved := dst.copyFrom(src); moved != 8 {
+		t.Errorf("copyFrom into smaller dst moved %d, want 8", moved)
 	}
-	if moved := vecCopy(NewIOVec(make([]byte, 32), []Run{{Off: 0, Len: 32}}), src); moved != 16 {
-		t.Errorf("vecCopy from smaller src moved %d, want 16", moved)
+	if moved := Strided(NewIOVec(make([]byte, 32), []Run{{Off: 0, Len: 32}})).copyFrom(src); moved != 16 {
+		t.Errorf("copyFrom from smaller src moved %d, want 16", moved)
+	}
+	// A contiguous landing is bounded to the message before it is
+	// registered; a strided one keeps its layout and stops short.
+	if got := Contig(make([]byte, 32)).prefix(16); got.size() != 16 || len(got.region()) != 16 {
+		t.Errorf("contiguous prefix(16): size %d, region %d", got.size(), len(got.region()))
+	}
+	if got := dst.prefix(4); got.size() != 8 || len(got.region()) != 16 {
+		t.Errorf("strided prefix(4): size %d, region %d, want layout unchanged", got.size(), len(got.region()))
+	}
+	if moved := (Payload{}).copyFrom(src); moved != 0 {
+		t.Errorf("copyFrom into the empty payload moved %d", moved)
+	}
+	if moved := dst.copyFrom(Payload{}); moved != 0 {
+		t.Errorf("copyFrom from the empty payload moved %d", moved)
 	}
 }
 
@@ -124,18 +186,8 @@ func TestProfileValidateDDTKnobs(t *testing.T) {
 		t.Errorf("negative DDTPackRun: err = %v", err)
 	}
 
-	bad = base
-	bad.DDTGatherDirect = Switch(99)
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "DDTGatherDirect") {
-		t.Errorf("bogus DDTGatherDirect: err = %v", err)
-	}
-	bad.DDTGatherDirect = Switch(-1)
-	if err := bad.Validate(); err == nil {
-		t.Error("negative DDTGatherDirect accepted")
-	}
-
 	good := base
-	good.DDTGatherDirect = SwitchOff
+	good.FramedDatapath = true
 	good.DDTPackRun = 20 * vtime.Nanosecond
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid DDT knobs rejected: %v", err)

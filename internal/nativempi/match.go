@@ -359,7 +359,7 @@ func (uq *unexpQueue) add(pkt *packet) {
 	e.key = matchKey{ctx: pkt.ctx, src: pkt.src, tag: pkt.tag}
 	e.seq = uq.seq
 	e.inBucket, e.inAll = true, true
-	uq.bytes += int64(len(pkt.data))
+	uq.bytes += int64(pkt.data.size())
 	uq.depth++
 	f := uq.buckets[e.key]
 	if f == nil {
@@ -377,7 +377,7 @@ func (uq *unexpQueue) add(pkt *packet) {
 // its occupancy.
 func (uq *unexpQueue) claim(e *unexpEntry) *packet {
 	pkt := e.pkt
-	uq.bytes -= int64(len(pkt.data))
+	uq.bytes -= int64(pkt.data.size())
 	uq.depth--
 	e.pkt = nil
 	e.taken = true

@@ -73,10 +73,10 @@ func (r *CollRequest) postRound(i int) {
 		switch op.kind {
 		case nbSend:
 			r.pending = append(r.pending,
-				r.c.p.isendOn(op.buf, r.c.group[op.peer], r.tag, sendOpts{ctx: r.c.collCtx, coll: true}))
+				r.c.p.isendOn(Contig(op.buf), r.c.group[op.peer], r.tag, sendOpts{ctx: r.c.collCtx, coll: true}))
 		case nbRecv:
 			r.pending = append(r.pending,
-				r.c.p.irecvOn(op.buf, r.c.group[op.peer], r.tag, sendOpts{ctx: r.c.collCtx, coll: true}))
+				r.c.p.irecvOn(Contig(op.buf), r.c.group[op.peer], r.tag, sendOpts{ctx: r.c.collCtx, coll: true}))
 		}
 	}
 }

@@ -79,11 +79,11 @@ type Request struct {
 	status     Status
 	err        error
 
-	// receive state. recvVec, when non-nil, is the strided landing
-	// layout of a derived-datatype receive; buf is nil then and the
-	// payload scatters into the runs.
-	buf           []byte
-	recvVec       *IOVec
+	// data is the receive's landing layout, or a rendezvous send's
+	// source held until the CTS comes back.
+	data Payload
+
+	// receive state
 	src           int // world rank or AnySource
 	tag           int
 	ctx           int32
@@ -92,13 +92,10 @@ type Request struct {
 	rndvFrom      int
 	rndvTag       int
 
-	// rendezvous send state. sendVec, when non-nil, is the strided
-	// source layout of a derived-datatype send; sendBuf is nil then.
-	id      uint64
-	sendBuf []byte
-	sendVec *IOVec
-	dst     int // world rank
-	ep      int // injection endpoint fixed at issue time (-1 = rank's shared NIC)
+	// rendezvous send state
+	id  uint64
+	dst int // world rank
+	ep  int // injection endpoint fixed at issue time (-1 = rank's shared NIC)
 
 	// comm, when set, translates the status source from world rank to
 	// communicator rank.
@@ -108,26 +105,16 @@ type Request struct {
 	waited bool
 }
 
-// recvCap returns the receive's landing capacity in bytes, whatever
-// its layout.
-func (r *Request) recvCap() int {
-	if r.recvVec != nil {
-		return r.recvVec.N
-	}
-	return len(r.buf)
-}
-
 // sendOpts parameterise internal sends (collective traffic uses the
 // collective context and pays the profile's per-message collective
-// overhead; vec carries a non-contiguous payload layout).
+// overhead).
 type sendOpts struct {
 	ctx  int32
 	coll bool
-	vec  *IOVec
 }
 
 // isendOn injects a message toward world rank wdst.
-func (p *Proc) isendOn(buf []byte, wdst, tag int, o sendOpts) *Request {
+func (p *Proc) isendOn(pl Payload, wdst, tag int, o sendOpts) *Request {
 	p.checkCrash()
 	p.inflight++
 	sendStart := p.clock.Now()
@@ -137,10 +124,7 @@ func (p *Proc) isendOn(buf []byte, wdst, tag int, o sendOpts) *Request {
 		soft += p.w.prof.CollMsgOverhead
 	}
 	p.clock.Advance(soft + ch.SendOverhead)
-	n := len(buf)
-	if o.vec != nil {
-		n = o.vec.N
-	}
+	n := pl.size()
 	p.stats.MsgsSent++
 	p.stats.BytesSent += int64(n)
 
@@ -158,12 +142,10 @@ func (p *Proc) isendOn(buf []byte, wdst, tag int, o sendOpts) *Request {
 		p.stats.EagerSends++
 		p.fcWaitCredit(wdst)
 		p.fcChargeSend(wdst)
-		if o.vec != nil {
-			// The eager tier always ships a contiguous wire image, so a
-			// strided payload pays the CPU pack cost per run boundary
-			// before injection — on both gather-direct settings alike.
-			p.clock.Advance(p.ddtPackCost(len(o.vec.Runs)))
-		}
+		// The eager tier always ships a contiguous wire image, so a
+		// strided payload pays the CPU pack cost per run boundary before
+		// injection (zero for one run).
+		p.clock.Advance(p.ddtPackCost(pl.runs()))
 		// Under a MULTIPLE-level thread group the injection lands on the
 		// calling thread's endpoint slot, so concurrent threads stop
 		// serializing on one NIC cursor (see thread.go).
@@ -172,11 +154,7 @@ func (p *Proc) isendOn(buf []byte, wdst, tag int, o sendOpts) *Request {
 		*nic = start.Add(ch.SerializeTime(n))
 		p.clock.AdvanceTo(*nic)
 		data := getWire(n)
-		if o.vec != nil {
-			o.vec.gatherInto(data)
-		} else {
-			copy(data, buf)
-		}
+		pl.gatherInto(data)
 		p.copyStats.count(n)
 		pkt := getPacket()
 		pkt.kind = pktEager
@@ -184,7 +162,7 @@ func (p *Proc) isendOn(buf []byte, wdst, tag int, o sendOpts) *Request {
 		pkt.dst = wdst
 		pkt.tag = tag
 		pkt.ctx = o.ctx
-		pkt.data = data
+		pkt.data = Contig(data)
 		pkt.ownsData = true
 		pkt.nbytes = n
 		pkt.sentAt = start
@@ -211,8 +189,7 @@ func (p *Proc) isendOn(buf []byte, wdst, tag int, o sendOpts) *Request {
 	p.nextReq++
 	req := p.getReq()
 	req.id = p.nextReq
-	req.sendBuf = buf
-	req.sendVec = o.vec
+	req.data = pl
 	req.dst = wdst
 	req.ep = p.curEndpoint()
 	req.tag = tag
@@ -228,14 +205,10 @@ func (p *Proc) isendOn(buf []byte, wdst, tag int, o sendOpts) *Request {
 	rts.nbytes = n
 	// Protocol tier: an RTS above the RDMA threshold — or from a
 	// buffer whose registration is still warm in the pin-down cache —
-	// negotiates a remote placement instead of a DATA landing. A
-	// strided source keys the covered peek on its spanning region,
-	// which is what the cache pins.
-	rdmabuf := buf
-	if o.vec != nil {
-		rdmabuf = o.vec.Full
-	}
-	rts.rdma = p.rdmaRndv(n, rdmabuf)
+	// negotiates a remote placement instead of a DATA landing. The
+	// covered peek is keyed on the payload's registration region, which
+	// is what the cache pins.
+	rts.rdma = p.rdmaRndv(n, pl.region())
 	rts.reqID = req.id
 	rts.sentAt = p.clock.Now()
 	rts.arriveAt = p.clock.Now().Add(ch.Latency)
@@ -248,12 +221,11 @@ func (p *Proc) isendOn(buf []byte, wdst, tag int, o sendOpts) *Request {
 
 // irecvOn posts a receive for (wsrc, tag) on a context. wsrc may be
 // AnySource.
-func (p *Proc) irecvOn(buf []byte, wsrc, tag int, o sendOpts) *Request {
+func (p *Proc) irecvOn(pl Payload, wsrc, tag int, o sendOpts) *Request {
 	p.checkCrash()
 	p.inflight++
 	req := p.getReq()
-	req.buf = buf
-	req.recvVec = o.vec
+	req.data = pl
 	req.src = wsrc
 	req.tag = tag
 	req.ctx = o.ctx
@@ -280,47 +252,18 @@ func (p *Proc) irecvOn(buf []byte, wsrc, tag int, o sendOpts) *Request {
 // Isend starts a non-blocking standard-mode send of buf to dst.
 // The buffer must not be modified until the request completes.
 func (c *Comm) Isend(buf []byte, dst, tag int) (*Request, error) {
-	if err := c.checkRank(dst); err != nil {
-		return nil, err
-	}
-	if err := c.checkSendTag(tag); err != nil {
-		return nil, err
-	}
-	c.p.gateEnter()
-	req := c.p.isendOn(buf, c.group[dst], tag, sendOpts{ctx: c.ptCtx})
-	req.comm = c
-	c.p.gateLeave()
-	return req, nil
+	return c.IsendPayload(Contig(buf), dst, tag)
 }
 
 // Irecv starts a non-blocking receive into buf from src (AnySource
 // allowed) with tag (AnyTag allowed).
 func (c *Comm) Irecv(buf []byte, src, tag int) (*Request, error) {
-	wsrc := AnySource
-	if src != AnySource {
-		if err := c.checkRank(src); err != nil {
-			return nil, err
-		}
-		wsrc = c.group[src]
-	}
-	if tag < 0 && tag != AnyTag {
-		return nil, fmt.Errorf("%w: recv tag %d", ErrTag, tag)
-	}
-	c.p.gateEnter()
-	req := c.p.irecvOn(buf, wsrc, tag, sendOpts{ctx: c.ptCtx})
-	req.comm = c
-	c.p.gateLeave()
-	return req, nil
+	return c.IrecvPayload(Contig(buf), src, tag)
 }
 
-// IsendVec starts a non-blocking send of a non-contiguous payload
-// described by vec — the derived-datatype datapath. The runs (and the
-// spanning region they alias) must stay unmodified until the request
-// completes, exactly like an Isend buffer.
-func (c *Comm) IsendVec(vec *IOVec, dst, tag int) (*Request, error) {
-	if vec == nil || len(vec.Runs) == 0 {
-		return nil, fmt.Errorf("%w: nil or empty iovec send", ErrRequest)
-	}
+// IsendPayload is Isend for any payload layout — the entry the
+// bindings' staging uses.
+func (c *Comm) IsendPayload(pl Payload, dst, tag int) (*Request, error) {
 	if err := c.checkRank(dst); err != nil {
 		return nil, err
 	}
@@ -328,18 +271,15 @@ func (c *Comm) IsendVec(vec *IOVec, dst, tag int) (*Request, error) {
 		return nil, err
 	}
 	c.p.gateEnter()
-	req := c.p.isendOn(nil, c.group[dst], tag, sendOpts{ctx: c.ptCtx, vec: vec})
+	req := c.p.isendOn(pl, c.group[dst], tag, sendOpts{ctx: c.ptCtx})
 	req.comm = c
 	c.p.gateLeave()
 	return req, nil
 }
 
-// IrecvVec starts a non-blocking receive whose landing layout is the
-// given iovec: the payload scatters into the runs as it lands.
-func (c *Comm) IrecvVec(vec *IOVec, src, tag int) (*Request, error) {
-	if vec == nil || len(vec.Runs) == 0 {
-		return nil, fmt.Errorf("%w: nil or empty iovec receive", ErrRequest)
-	}
+// IrecvPayload is Irecv for any landing layout: a strided landing
+// receives the payload scattered into its runs.
+func (c *Comm) IrecvPayload(pl Payload, src, tag int) (*Request, error) {
 	wsrc := AnySource
 	if src != AnySource {
 		if err := c.checkRank(src); err != nil {
@@ -351,29 +291,10 @@ func (c *Comm) IrecvVec(vec *IOVec, src, tag int) (*Request, error) {
 		return nil, fmt.Errorf("%w: recv tag %d", ErrTag, tag)
 	}
 	c.p.gateEnter()
-	req := c.p.irecvOn(nil, wsrc, tag, sendOpts{ctx: c.ptCtx, vec: vec})
+	req := c.p.irecvOn(pl, wsrc, tag, sendOpts{ctx: c.ptCtx})
 	req.comm = c
 	c.p.gateLeave()
 	return req, nil
-}
-
-// SendVec is the blocking form of IsendVec.
-func (c *Comm) SendVec(vec *IOVec, dst, tag int) error {
-	req, err := c.IsendVec(vec, dst, tag)
-	if err != nil {
-		return err
-	}
-	_, err = req.Wait()
-	return err
-}
-
-// RecvVec is the blocking form of IrecvVec.
-func (c *Comm) RecvVec(vec *IOVec, src, tag int) (Status, error) {
-	req, err := c.IrecvVec(vec, src, tag)
-	if err != nil {
-		return Status{}, err
-	}
-	return req.Wait()
 }
 
 // Send is the blocking standard-mode send.
@@ -442,7 +363,7 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
 	c.p.poll()
 	probe := &Request{src: wsrc, tag: tag, ctx: c.ptCtx}
 	if pkt := c.p.unexp.peek(probe); pkt != nil {
-		n := len(pkt.data)
+		n := pkt.data.size()
 		if pkt.kind == pktRTS {
 			n = pkt.nbytes
 		}

@@ -52,11 +52,10 @@ func freePacket(p *packet) {
 		panic("nativempi: pool release of borrowed payload")
 	}
 	p.freed = true
-	if p.ownsData && p.data != nil {
-		putWire(p.data)
+	if p.ownsData {
+		putWire(p.data.b)
 	}
-	p.data = nil
-	p.vec = nil
+	p.data = Payload{}
 	p.wire = nil
 	pktPool.Put(p)
 }
@@ -222,6 +221,11 @@ type CopyStats struct {
 	BytesCopied  int64 `json:"bytes_copied"`
 	CopiesElided int64 `json:"copies_elided"`
 	BytesElided  int64 `json:"bytes_elided"`
+
+	// FramedRndv counts rendezvous data phases that took the framed
+	// wire-image leg — the direct datapath taken away by a fault plan,
+	// fault tolerance, or Profile.FramedDatapath. Zero on a clean run.
+	FramedRndv int64 `json:"framed_rndv"`
 }
 
 // count records one n-byte host memcpy of payload data.
@@ -284,6 +288,7 @@ func (w *World) HostStats() HostStats {
 		hs.Copy.BytesCopied += cs.BytesCopied
 		hs.Copy.CopiesElided += cs.CopiesElided
 		hs.Copy.BytesElided += cs.BytesElided
+		hs.Copy.FramedRndv += cs.FramedRndv
 		ms := p.matchStats
 		hs.Match.PostedLookups += ms.PostedLookups
 		hs.Match.PostedProbes += ms.PostedProbes

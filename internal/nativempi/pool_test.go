@@ -124,7 +124,7 @@ func TestPacketDoubleFreePanics(t *testing.T) {
 // wire pool would hand the user's live bytes to a later message.
 func TestPacketBorrowedPayloadReleasePanics(t *testing.T) {
 	p := getPacket()
-	p.data = []byte("user buffer bytes")
+	p.data = Contig([]byte("user buffer bytes"))
 	p.borrowed = true
 	p.ownsData = true // protocol violation under test
 	defer func() {
@@ -140,7 +140,7 @@ func TestPacketBorrowedPayloadReleasePanics(t *testing.T) {
 func TestPacketBorrowedPayloadWithoutOwnershipFreesCleanly(t *testing.T) {
 	p := getPacket()
 	user := []byte("user buffer bytes")
-	p.data = user
+	p.data = Contig(user)
 	p.borrowed = true
 	freePacket(p)
 	if string(user) != "user buffer bytes" {

@@ -34,37 +34,29 @@ type packet struct {
 	src, dst int // world ranks
 	tag      int
 	ctx      int32
-	data     []byte // payload (eager, data)
-	nbytes   int    // full payload size (meaningful for RTS)
+	data     Payload // wire image (eager, framed DATA, RMA), or a borrowed descriptor — see borrowed
+	nbytes   int     // full payload size (RTS, DATA)
 	arriveAt vtime.Time
 	reqID    uint64 // rendezvous correlation (RTS/CTS/Data)
 	emitSeq  uint64 // per-source emission counter (phase-merge sort key)
 
-	// vec, non-nil only on a gather-direct DATA packet, is a read-only
-	// borrow of the sender's non-contiguous payload descriptor: the
-	// receiver performs the only host copy, scattering (or streaming)
-	// the runs straight out of the sender's live user array. Such
-	// packets always carry borrowed=true and nil data, and settle
-	// through the same pktRndvFin fence as contiguous borrows.
-	vec *IOVec
-
 	// rdma marks a message riding the RDMA channel: an RTS advertising
 	// an RDMA-mode rendezvous, the CTS answering it (carrying the
-	// receiver's registered landing buffer when the placement datapath
-	// is on), the DATA completion notification (payload already placed
-	// remotely, data nil), or a one-sided operation that bypassed the
-	// target's CPU. Both endpoints derive their virtual charges from
-	// this flag identically whatever the host datapath.
+	// receiver's registered landing layout on the direct datapath), the
+	// DATA completion notification (payload already placed remotely,
+	// data empty), or a one-sided operation that bypassed the target's
+	// CPU. Both endpoints derive their virtual charges from this flag
+	// identically whatever the host datapath.
 	rdma bool
 
 	// Host-side reuse bookkeeping (see pool.go). ownsData marks a
-	// payload borrowed from the wire pool; freed guards against a
-	// double free of the packet struct itself. borrowed marks a
-	// zero-copy DATA packet whose data aliases the SENDER's live
-	// buffer — or, on the RDMA placement path, a CTS whose data aliases
-	// the RECEIVER's registered landing buffer: read-only, never
-	// pool-owned — freePacket panics if such a payload ever claims pool
-	// ownership.
+	// payload taken from the wire pool; freed guards against a double
+	// free of the packet struct itself. borrowed marks a direct-datapath
+	// DATA packet whose data is the SENDER's live payload descriptor
+	// (the receiver performs the transfer's only host copy straight out
+	// of the user's memory, then fences with pktRndvFin) — or a CTS whose
+	// data is the RECEIVER's registered landing layout: never pool-owned
+	// — freePacket panics if such a payload ever claims pool ownership.
 	ownsData bool
 	freed    bool
 	borrowed bool
@@ -317,27 +309,14 @@ func (p *Proc) post(dst int, pkt *packet) error {
 // transmissions reliablePost has already adjudicated). Under the
 // phase-stepped engine the packet is buffered in this rank's outbox
 // and delivered at the next barrier, in merged (arriveAt, src,
-// emitSeq) order; without an engine it goes straight into the
-// destination mailbox, the legacy serialized path.
+// emitSeq) order.
 func (p *Proc) postRaw(dst int, pkt *packet) {
 	if eng := p.w.eng.Load(); eng != nil {
 		eng.emit(p.rank, dst, pkt)
 		return
 	}
+	// No engine: drainPending, after Run, acking what it admits.
 	p.w.procs[dst].mb.push(pkt)
-}
-
-// postRawBatch delivers a same-destination burst (e.g. a reliability
-// layer's whole retransmission schedule) into dst's mailbox under a
-// single lock acquisition, preserving FIFO order.
-func (p *Proc) postRawBatch(dst int, pkts []*packet) {
-	if eng := p.w.eng.Load(); eng != nil {
-		for _, pkt := range pkts {
-			eng.emit(p.rank, dst, pkt)
-		}
-		return
-	}
-	p.w.procs[dst].mb.pushBatch(pkts)
 }
 
 // matches reports whether a posted receive (req) matches a packet.
@@ -444,7 +423,7 @@ func (p *Proc) dispatch(pkt *packet) {
 		// The receiver has copied a borrowed rendezvous payload out of
 		// this rank's buffer; the send may now complete. The fence is a
 		// pure host-side ordering event: the request's completion TIME
-		// was fixed at injection, identically to the wire-copy path.
+		// was fixed at injection, identically to the framed leg.
 		req, ok := p.finPending[pkt.reqID]
 		if !ok {
 			panic(fmt.Sprintf("nativempi: rank %d got FIN for unknown request %d", p.rank, pkt.reqID))
@@ -459,7 +438,7 @@ func (p *Proc) dispatch(pkt *packet) {
 	case pktAbort:
 		// Propagates as a panic so even deeply nested blocking calls
 		// unwind; World.Run recovers it into this rank's error.
-		panic(abortError{origin: pkt.src, reason: string(pkt.data)})
+		panic(abortError{origin: pkt.src, reason: string(pkt.data.b)})
 	}
 }
 
@@ -476,10 +455,10 @@ func (p *Proc) progressOnce() {
 
 // popBlocking dequeues the next packet, parking the rank in the
 // phase-stepped engine while its mailbox is empty (the engine's ONLY
-// blocking point). Without an engine it falls back to the mailbox's
-// condition-variable pop. After an engine abort the final tryPop is
-// guaranteed to find the poison packet: abortLocked pushes it to every
-// mailbox before waking anyone.
+// blocking point; ranks only run inside World.Run, so there always is
+// one). After an engine abort the final tryPop is guaranteed to find
+// the poison packet: abortLocked pushes it to every mailbox before
+// waking anyone.
 //
 // Inside a thread group the empty-mailbox case first hands the baton
 // to any schedulable sibling thread and returns nil once it comes
@@ -495,11 +474,7 @@ func (p *Proc) popBlocking() *packet {
 		if tg := p.tg; tg != nil && tg.yieldTo(tPopWait) {
 			return nil
 		}
-		eng := p.w.eng.Load()
-		if eng == nil {
-			return p.mb.pop()
-		}
-		eng.block(p.rank)
+		p.w.eng.Load().block(p.rank)
 		if p.tg != nil {
 			p.threadStats.RankBlocks++
 		}
@@ -531,13 +506,16 @@ func (p *Proc) poll() {
 	}
 }
 
-// zeroCopyRndv reports whether the rendezvous data phase may borrow
-// the sender's buffer instead of copying into a wire buffer. The
-// profile switch enables it; a fault plan (frames must be mutable for
-// corruption/retransmission) or fault tolerance (failure sweeps may
-// orphan the borrow) forces the wire-copy path.
-func (p *Proc) zeroCopyRndv() bool {
-	return p.w.zeroCopy && p.rel == nil && !p.w.ft
+// direct is the one host-datapath rule: payload references may cross
+// ranks — a CTS carrying the receiver's landing for a placement write,
+// a DATA packet borrowing the sender's payload — unless a fault plan is
+// active (frames must be mutable for corruption and retransmission),
+// the world is fault tolerant (a failure sweep could orphan the
+// reference), or the profile pins the framed reference leg. It selects
+// HOST data movement only: every virtual quantity is computed
+// identically on both legs (DESIGN.md, "Host datapath policy").
+func (p *Proc) direct() bool {
+	return p.rel == nil && !p.w.ft && !p.w.prof.FramedDatapath
 }
 
 // rdmaOK reports whether the RDMA protocol tier is available on this
@@ -545,7 +523,7 @@ func (p *Proc) zeroCopyRndv() bool {
 // cannot be framed, checksummed, or retransmitted), no fault tolerance
 // (a failure sweep could orphan a remote key mid-placement). The
 // PROTOCOL — registration charges, completion arithmetic — is what
-// this gates; the host datapath has its own switch (w.rdmaPlace).
+// this gates; the host datapath follows direct().
 func (p *Proc) rdmaOK() bool {
 	return p.w.rdmaProto && p.rel == nil && !p.w.ft
 }
@@ -593,21 +571,16 @@ func (p *Proc) deliver(req *Request, pkt *packet) {
 	ch := p.channel(pkt.src)
 	switch pkt.kind {
 	case pktEager:
-		n := len(pkt.data)
-		if n > req.recvCap() {
-			req.err = fmt.Errorf("%w: %d-byte message into %d-byte buffer", ErrTruncated, n, req.recvCap())
-			n = req.recvCap()
+		total := pkt.data.size()
+		if total > req.data.size() {
+			req.err = fmt.Errorf("%w: %d-byte message into %d-byte buffer", ErrTruncated, total, req.data.size())
 		}
-		if req.recvVec != nil {
-			// Strided landing: the CPU scatters the contiguous eager
-			// image into the runs, paying the per-run unpack cost below.
-			req.recvVec.scatterFrom(pkt.data[:n])
-		} else {
-			copy(req.buf[:n], pkt.data[:n])
-		}
+		// A strided landing has the CPU scatter the contiguous eager
+		// image into its runs, paying the per-run unpack cost below.
+		n := req.data.copyFrom(pkt.data)
 		p.copyStats.count(n)
 		complete := vtime.Max(req.postedAt, pkt.arriveAt).
-			Add(ch.RecvOverhead + p.recvSoft(pkt.src) + req.extraRecvCost + p.ddtUnpackCost(req))
+			Add(ch.RecvOverhead + p.recvSoft(pkt.src) + req.extraRecvCost + p.ddtPackCost(req.data.runs()))
 		// A message that hit the wire before the receive was posted
 		// sat in a bounce buffer and pays one extra copy now. The
 		// comparison uses virtual times only, keeping runs
@@ -616,16 +589,16 @@ func (p *Proc) deliver(req *Request, pkt *packet) {
 			complete = complete.Add(vtime.PerByte(n, ch.Bandwidth))
 			p.stats.Unexpected++
 		}
-		req.status = Status{Source: pkt.src, Tag: pkt.tag, Bytes: len(pkt.data)}
+		req.status = Status{Source: pkt.src, Tag: pkt.tag, Bytes: total}
 		req.completeAt = complete
 		req.done = true
 		p.stats.MsgsReceived++
-		p.recordRecv(pkt.src, len(pkt.data), req.postedAt, complete)
+		p.recordRecv(pkt.src, total, req.postedAt, complete)
 		p.fcConsumed(pkt.src, complete)
 		freePacket(pkt)
 	case pktRTS:
-		if pkt.nbytes > req.recvCap() {
-			req.err = fmt.Errorf("%w: %d-byte rendezvous into %d-byte buffer", ErrTruncated, pkt.nbytes, req.recvCap())
+		if pkt.nbytes > req.data.size() {
+			req.err = fmt.Errorf("%w: %d-byte rendezvous into %d-byte buffer", ErrTruncated, pkt.nbytes, req.data.size())
 		}
 		readyAt := vtime.Max(req.postedAt, pkt.arriveAt)
 		req.rndvFrom = pkt.src
@@ -641,30 +614,16 @@ func (p *Proc) deliver(req *Request, pkt *packet) {
 			// RDMA-mode rendezvous: the CTS carries the remote key, so
 			// the landing buffer must be registered before it can be
 			// issued — the pin-down cost (zero on a cache hit) delays
-			// the CTS, never the receiver's other work. When the
-			// placement datapath is on, the CTS also carries the landing
-			// buffer itself for the sender's direct write; host movement
-			// only, every virtual quantity is placement-independent. A
-			// strided landing registers its whole spanning region (the
-			// NIC pins pages, not runs) and travels as the iovec.
-			n := pkt.nbytes
-			if n > req.recvCap() {
-				n = req.recvCap()
-			}
-			if req.recvVec != nil {
-				readyAt = readyAt.Add(p.reg.acquire(req.recvVec.Full, readyAt))
-				cts.rdma = true
-				if p.w.rdmaPlace {
-					cts.vec = req.recvVec
-					cts.borrowed = true
-				}
-			} else {
-				readyAt = readyAt.Add(p.reg.acquire(req.buf[:n], readyAt))
-				cts.rdma = true
-				if p.w.rdmaPlace {
-					cts.data = req.buf[:n]
-					cts.borrowed = true
-				}
+			// the CTS, never the receiver's other work. On the direct
+			// datapath the CTS also carries the landing itself for the
+			// sender's placement write; host movement only, every
+			// virtual quantity is placement-independent.
+			land := req.data.prefix(pkt.nbytes)
+			readyAt = readyAt.Add(p.reg.acquire(land.region(), readyAt))
+			cts.rdma = true
+			if p.direct() {
+				cts.data = land
+				cts.borrowed = true
 			}
 		}
 		cts.sentAt = readyAt
@@ -698,59 +657,12 @@ func (p *Proc) rndvSendData(req *Request, cts *packet) {
 	nic := p.nicSlot(req.ep)
 	start := vtime.Max(cts.arriveAt, *nic)
 	start = start.Add(ch.RndvHandshake)
-	n := len(req.sendBuf)
-	if req.sendVec != nil {
-		n = req.sendVec.N
-	}
+	n := req.data.size()
 	if cts.rdma {
 		// RDMA mode: the NIC reads the source buffer directly, so it
 		// too must be pinned — same cache, same amortization as the
-		// receiver's side. A strided source pins its spanning region.
-		if req.sendVec != nil {
-			start = start.Add(p.reg.acquire(req.sendVec.Full, start))
-		} else {
-			start = start.Add(p.reg.acquire(req.sendBuf, start))
-		}
-	}
-	// Host datapath selection. On the RDMA placement path the sender
-	// performs the transfer's only memcpy — the remote write — straight
-	// into the receiver's registered landing buffer (carried by the
-	// CTS), and the DATA packet degenerates to a payload-less
-	// completion notification. The write is host-safe: the buffer
-	// reference travelled receiver→sender through the mailbox, and the
-	// receiver only reads it after popping the completion packet, so
-	// both directions carry a happens-before edge. Otherwise the
-	// zero-copy borrow or the framed wire copy runs exactly as before.
-	// Non-contiguous endpoints add a layout dimension: gather-direct
-	// (w.ddtDirect) borrows the iovec outright or streams runs straight
-	// into the strided landing; off, the payload is packed through a
-	// wire image first — the framed fallback. Every virtual quantity
-	// below — start, injection, arrival, completion — is computed
-	// identically on all paths.
-	place := cts.rdma && (len(cts.data) > 0 || cts.vec != nil)
-	zc := !place && p.zeroCopyRndv()
-	borrow := false
-	var data []byte
-	var vec *IOVec
-	switch {
-	case place:
-		p.placeRndv(cts, req, n)
-	case zc && req.sendVec == nil:
-		data = req.sendBuf
-		borrow = true
-		p.copyStats.elide(n)
-	case zc && p.w.ddtDirect:
-		vec = req.sendVec
-		borrow = true
-		p.copyStats.elide(n)
-	default:
-		data = getWire(n)
-		if req.sendVec != nil {
-			req.sendVec.gatherInto(data)
-		} else {
-			copy(data, req.sendBuf)
-		}
-		p.copyStats.count(n)
+		// receiver's side.
+		start = start.Add(p.reg.acquire(req.data.region(), start))
 	}
 	// The send completes when the first injection clears the NIC;
 	// reliablePost may keep the NIC busy later for retransmissions,
@@ -763,80 +675,63 @@ func (p *Proc) rndvSendData(req *Request, cts *packet) {
 	pkt.dst = req.dst
 	pkt.tag = req.tag
 	pkt.ctx = req.ctx
-	pkt.data = data
-	pkt.vec = vec
-	pkt.ownsData = !borrow && data != nil
-	pkt.borrowed = borrow
 	pkt.rdma = cts.rdma
 	pkt.nbytes = n
 	pkt.reqID = req.id
 	pkt.sentAt = start
 	pkt.arriveAt = start.Add(ch.TransferTime(n))
-	err := p.post(req.dst, pkt)
-	req.completeAt = injected
-	req.err = err
-	if borrow {
-		// Completion TIME is fixed now; completion ITSELF waits for the
-		// receiver's fence so the sender cannot reuse the buffer while
-		// the borrow is outstanding (a host-correctness gate only —
-		// Wait/Test still report completeAt = injected).
+	// The one place the host datapath picks its leg. Every virtual
+	// quantity above — start, injection, arrival, completion — is the
+	// same on all three; they differ in who performs the transfer's
+	// host copy.
+	switch {
+	case cts.data.size() > 0:
+		// Placement write: the sender performs the only memcpy, straight
+		// into the receiver's registered landing (carried by the CTS),
+		// and the DATA packet degenerates to a payload-less completion
+		// notification. Host-safe: the landing travelled
+		// receiver→sender through the mailbox, and the receiver only
+		// reads it after popping the completion packet, so both
+		// directions carry a happens-before edge.
+		placed := cts.data.copyFrom(req.data)
+		p.copyStats.count(placed)
+		if cts.data.strided() || req.data.strided() {
+			p.copyStats.elide(placed) // the pack image a strided end would otherwise stage through
+		}
+		p.rdmaStats.Writes++
+		p.rdmaStats.BytesPlaced += int64(placed)
+	case p.direct():
+		// Borrow: the receiver copies straight out of the sender's live
+		// payload. Completion TIME is fixed below; completion ITSELF
+		// waits for the receiver's fence so the sender cannot reuse the
+		// buffer while the borrow is outstanding (a host-correctness
+		// gate only — Wait/Test still report completeAt = injected).
+		pkt.data = req.data
+		pkt.borrowed = true
+		p.copyStats.elide(n)
 		p.finPending[req.id] = req
-	} else {
-		req.done = true
-	}
-	p.recordSend(req.dst, n, start, req.completeAt)
-}
-
-// placeRndv performs the RDMA placement write for one rendezvous with
-// at least one non-contiguous (or switched-off) endpoint. Gather-direct
-// on, the sender streams source runs straight into the landing runs —
-// one host memcpy, the intermediate pack image elided. Off, it stages
-// through a packed wire image: gather, place, free — two memcpys, the
-// honest fallback cost. Contiguous-to-contiguous placements never reach
-// here (rndvSendData keeps the original single-copy path for them).
-func (p *Proc) placeRndv(cts *packet, req *Request, n int) {
-	var placed int
-	direct := p.w.ddtDirect
-	if req.sendVec == nil && cts.vec == nil {
-		// Both ends contiguous: the classic placement write.
-		placed = copy(cts.data, req.sendBuf)
-		p.copyStats.count(placed)
-	} else if direct {
-		switch {
-		case req.sendVec != nil && cts.vec != nil:
-			placed = vecCopy(cts.vec, req.sendVec)
-		case req.sendVec != nil:
-			placed = req.sendVec.gatherInto(cts.data)
-		default:
-			placed = cts.vec.scatterFrom(req.sendBuf[:n])
-		}
-		p.copyStats.count(placed)
-		p.copyStats.elide(placed) // the staging copy the fallback would pay
-	} else {
-		tmp := getWire(n)
-		if req.sendVec != nil {
-			req.sendVec.gatherInto(tmp)
-		} else {
-			copy(tmp, req.sendBuf[:n])
-		}
+	default:
+		// Framed: gather into a pooled wire image the reliability layer
+		// can checksum, corrupt and retransmit — the only leg that runs
+		// under a fault plan or FT, and the reference the differential
+		// suites compare the other two against.
+		wire := getWire(n)
+		req.data.gatherInto(wire)
 		p.copyStats.count(n)
-		if cts.vec != nil {
-			placed = cts.vec.scatterFrom(tmp)
-		} else {
-			placed = copy(cts.data, tmp)
-		}
-		p.copyStats.count(placed)
-		putWire(tmp)
+		p.copyStats.FramedRndv++
+		pkt.data = Contig(wire)
+		pkt.ownsData = true
 	}
-	p.rdmaStats.Writes++
-	p.rdmaStats.BytesPlaced += int64(placed)
+	req.done = !pkt.borrowed
+	req.completeAt = injected
+	req.err = p.post(req.dst, pkt)
+	p.recordSend(req.dst, n, start, req.completeAt)
 }
 
 // ddtPackCost is the eager tier's CPU charge for packing (sender) or
 // unpacking (receiver) a non-contiguous payload: DDTPackRun per run
 // boundary beyond the first. Zero for contiguous messages, and
-// identical on both gather-direct settings — the charge is protocol
-// level, the switch is host level.
+// identical on every host datapath leg — the charge is protocol level.
 func (p *Proc) ddtPackCost(runs int) vtime.Duration {
 	if runs <= 1 {
 		return 0
@@ -844,46 +739,15 @@ func (p *Proc) ddtPackCost(runs int) vtime.Duration {
 	return p.w.prof.DDTPackRun * vtime.Duration(runs-1)
 }
 
-// ddtUnpackCost is ddtPackCost for a receive's landing layout.
-func (p *Proc) ddtUnpackCost(req *Request) vtime.Duration {
-	if req.recvVec == nil {
-		return 0
-	}
-	return p.ddtPackCost(len(req.recvVec.Runs))
-}
-
 // completeRndvRecv lands the data phase in the user buffer.
 func (p *Proc) completeRndvRecv(req *Request, pkt *packet) {
 	ch := p.channel(pkt.src)
-	total := len(pkt.data)
-	if pkt.vec != nil {
-		total = pkt.vec.N
-	}
-	if pkt.rdma && pkt.data == nil && pkt.vec == nil {
-		// Placement write: the payload is already in the user buffer —
-		// this packet is only the completion notification. nbytes
-		// carries the transfer size for the status.
-		total = pkt.nbytes
-	}
-	n := total
-	if n > req.recvCap() {
-		n = req.recvCap() // error already recorded at RTS time
-	}
-	switch {
-	case pkt.vec != nil && req.recvVec != nil:
-		// Gather-direct borrow into a strided landing: the receiver
-		// streams the sender's runs straight into its own — the
-		// transfer's only host copy, on either side.
-		vecCopy(req.recvVec, pkt.vec)
-		p.copyStats.count(n)
-	case pkt.vec != nil:
-		pkt.vec.gatherInto(req.buf[:n])
-		p.copyStats.count(n)
-	case pkt.data != nil && req.recvVec != nil:
-		req.recvVec.scatterFrom(pkt.data[:n])
-		p.copyStats.count(n)
-	case pkt.data != nil:
-		copy(req.buf[:n], pkt.data[:n])
+	// nbytes is the transfer size whichever leg carried it; a placement
+	// write already put the payload in the user buffer and its DATA is
+	// only the completion notification, so nothing is left to move. A
+	// short landing was flagged at RTS time and copyFrom stops at it.
+	total := pkt.nbytes
+	if n := req.data.copyFrom(pkt.data); n > 0 {
 		p.copyStats.count(n)
 	}
 	req.status = Status{Source: pkt.src, Tag: pkt.tag, Bytes: total}

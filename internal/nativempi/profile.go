@@ -107,20 +107,6 @@ const (
 	ScatterLinear
 )
 
-// Switch is a three-state feature toggle: the zero value defers to the
-// profile's default, so a zero-valued Profile literal keeps its
-// documented behaviour.
-type Switch int
-
-const (
-	// SwitchDefault resolves to the feature's documented default.
-	SwitchDefault Switch = iota
-	// SwitchOn forces the feature on.
-	SwitchOn
-	// SwitchOff forces the feature off.
-	SwitchOff
-)
-
 // Profile is a native library's tuning personality: software overheads
 // layered on the raw fabric costs, protocol thresholds, and collective
 // algorithm selection. internal/profile provides the MVAPICH2-like and
@@ -169,17 +155,21 @@ type Profile struct {
 	RetransmitBackoff int
 	MaxRetransmits    int
 
-	// ZeroCopyRndv selects the rendezvous data-phase datapath. On (the
-	// default), the DATA packet carries a read-only borrow of the
-	// sender's buffer and the receiver performs the only host memcpy —
-	// the RDMA-style single-copy path. Off restores the framed
-	// wire-buffer copy. The switch governs HOST data movement only:
-	// every virtual timestamp is computed identically on both paths, so
-	// traces, metrics, and measured times are byte-identical either
-	// way. A fault plan or fault tolerance forces the wire-copy path
-	// regardless (retransmission and corruption need a mutable framed
-	// image of the payload).
-	ZeroCopyRndv Switch
+	// FramedDatapath pins the rendezvous data phase to the framed
+	// wire-image leg: the sender gathers the payload into a pooled wire
+	// buffer and the receiver copies it out — two host memcpys, no
+	// payload reference ever crossing ranks. That leg is what runs under
+	// a fault plan or fault tolerance (retransmission and corruption
+	// need a mutable framed image; a failure sweep could orphan a
+	// borrow or a remote key), and it is the reference the differential
+	// suites compare the direct legs against — the only reason to set
+	// this. False (the default) selects the direct legs wherever they
+	// are safe: a placement write into the receiver's registered landing
+	// on the RDMA tier, a read-only borrow of the sender's payload
+	// below it, contiguous or strided alike. HOST data movement only:
+	// every virtual timestamp is computed identically on both settings,
+	// so traces, metrics and measured times are byte-identical.
+	FramedDatapath bool
 
 	// RDMA transport tuning. Rendezvous messages of at least
 	// RDMAThreshold bytes complete via a single remote-memory placement
@@ -198,37 +188,13 @@ type Profile struct {
 	// retransmitted, and a failure sweep could orphan a remote key.
 	RDMAThreshold int
 
-	// RDMAPlacement selects the HOST datapath of an RDMA-mode
-	// rendezvous, exactly as ZeroCopyRndv does for the framed path: on
-	// (the default), the receiver's buffer travels back in the CTS and
-	// the sender performs the transfer's only host memcpy directly into
-	// it — the placement write. Off stages the payload through the
-	// framed DATA path instead. The switch governs host data movement
-	// ONLY; every virtual quantity (registration charges, completion
-	// times, traces, metrics) is computed identically on both settings.
-	RDMAPlacement Switch
-
-	// DDTGatherDirect selects the HOST datapath of a non-contiguous
-	// (derived-datatype) transfer above the eager limit, exactly as
-	// ZeroCopyRndv and RDMAPlacement do for contiguous payloads: on (the
-	// default), a strided rendezvous send borrows the sender's iovec
-	// outright (the receiver scatters straight from the user array) and
-	// a strided RDMA placement gathers from the sender's runs directly
-	// into the receiver's strided landing runs — no intermediate pack
-	// buffer on either side. Off stages the payload through a packed
-	// wire image instead — the framed fallback that fault plans and
-	// fault tolerance always use. The switch governs host data movement
-	// ONLY: every virtual quantity is computed identically on both
-	// settings, which TestDDTZeroCopyDifferential enforces.
-	DDTGatherDirect Switch
-
 	// DDTPackRun is the per-run CPU cost of packing (or unpacking) a
 	// non-contiguous EAGER payload: the eager tier always materialises a
 	// contiguous wire image, and the CPU pays this much for each run
 	// boundary beyond the first — zero for contiguous messages, so
 	// existing clocks are untouched. Rendezvous-tier gathers are
-	// NIC-offloaded and charge nothing per run. Protocol-level (both
-	// datapath settings charge it identically); zero selects 15 ns.
+	// NIC-offloaded and charge nothing per run. Protocol-level (every
+	// host datapath leg charges it identically); zero selects 15 ns.
 	DDTPackRun vtime.Duration
 
 	// Pin-down registration-cache economics (MVAPICH2's regcache). The
@@ -374,14 +340,8 @@ func (pr Profile) normalize() Profile {
 	if pr.SuspectBeats < 1 {
 		pr.SuspectBeats = 3
 	}
-	if pr.ZeroCopyRndv == SwitchDefault {
-		pr.ZeroCopyRndv = SwitchOn
-	}
 	if pr.RDMAThreshold == 0 {
 		pr.RDMAThreshold = 256 << 10
-	}
-	if pr.RDMAPlacement == SwitchDefault {
-		pr.RDMAPlacement = SwitchOn
 	}
 	if pr.RegCacheEntries <= 0 {
 		pr.RegCacheEntries = 128
@@ -400,9 +360,6 @@ func (pr Profile) normalize() Profile {
 	}
 	if pr.RDMAStageChunk <= 0 {
 		pr.RDMAStageChunk = 16 << 10
-	}
-	if pr.DDTGatherDirect == SwitchDefault {
-		pr.DDTGatherDirect = SwitchOn
 	}
 	if pr.DDTPackRun <= 0 {
 		pr.DDTPackRun = 15 * vtime.Nanosecond
@@ -517,10 +474,6 @@ func (pr Profile) Validate() error {
 	}
 	if pr.DDTPackRun < 0 {
 		return fmt.Errorf("profile %q: DDTPackRun %v is negative (0 selects the default)", pr.Name, pr.DDTPackRun)
-	}
-	if pr.DDTGatherDirect < SwitchDefault || pr.DDTGatherDirect > SwitchOff {
-		return fmt.Errorf("profile %q: DDTGatherDirect %d is not a Switch value (valid: %d..%d)",
-			pr.Name, pr.DDTGatherDirect, SwitchDefault, SwitchOff)
 	}
 	return nil
 }

@@ -14,49 +14,47 @@ import (
 )
 
 // The RDMA channel's differential contract, mirroring the zero-copy
-// suite: the placement switch selects HOW payload bytes move on the
-// host (a direct remote-memory write into the receiver's buffer versus
-// a framed DATA packet), while every virtual-time consequence of the
-// protocol — registration charges, CTS delay, completion arithmetic —
-// is decided by the protocol alone. Toggling placement may change host
-// counters only; the deterministic artifacts may not move by one byte.
+// suite: the host datapath selects HOW payload bytes move (a direct
+// remote-memory write into the receiver's buffer versus a framed DATA
+// packet), while every virtual-time consequence of the protocol —
+// registration charges, CTS delay, completion arithmetic — is decided
+// by the protocol alone. Direct versus framed may change host counters
+// only; the deterministic artifacts may not move by one byte.
 
 // rdmaWorld builds a differential world: clean fabric, lossy fabric
-// (reliability layer engaged), or crash-fault FT world, with the RDMA
-// placement switch and a threshold low enough that the zero-copy
-// workload's ring traffic crosses it.
-func rdmaWorld(t *testing.T, mode string, nodes, ppn int, place Switch) *World {
+// (reliability layer engaged), or crash-fault FT world, on the direct
+// or the framed datapath, with a threshold low enough that the
+// zero-copy workload's ring traffic crosses it.
+func rdmaWorld(t *testing.T, mode string, nodes, ppn int, framed bool) *World {
 	t.Helper()
-	topo := cluster.New(nodes, ppn)
-	fab := fabric.Default(topo)
+	var plan *faults.Plan
 	switch mode {
 	case "clean":
 	case "loss":
-		fab.WithFaults(faults.Uniform(42, 0.05))
+		plan = faults.Uniform(42, 0.05)
 	case "crash":
-		plan, err := faults.ParseSpec("crash=1:op3")
-		if err != nil {
+		var err error
+		if plan, err = faults.ParseSpec("crash=1:op3"); err != nil {
 			t.Fatal(err)
 		}
-		fab.WithFaults(plan)
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
-	w := NewWorld(topo, fab, Profile{RDMAPlacement: place, RDMAThreshold: 64 << 10})
+	w := datapathWorld(nodes, ppn, framed, plan, Profile{RDMAThreshold: 64 << 10})
 	if mode == "crash" {
 		w.EnableFT()
 	}
 	return w
 }
 
-// TestRDMADifferential is the tentpole guarantee for the RDMA channel:
-// across np ∈ {2,4,8}, worker-pool widths {1,8}, and clean / lossy /
-// crash fabrics, a placement-on run and a placement-off run produce
-// byte-identical receive payloads, final clocks, trace JSONL, and
-// metrics JSON. Faulty fabrics disable the protocol entirely
-// (retransmission needs a stable framed payload; FT needs revocable
-// channels), so those legs also pin the fallback: zero placements,
-// zero registrations.
+// TestRDMADifferential is the placement leg's guarantee: across
+// np ∈ {2,4,8}, worker-pool widths {1,8}, and clean / lossy / crash
+// fabrics, a direct run and a framed run produce byte-identical receive
+// payloads, final clocks, trace JSONL, and metrics JSON. Faulty fabrics
+// disable the protocol entirely (retransmission needs a stable framed
+// payload; FT needs revocable channels), so those legs also pin the
+// fallback: zero placements, zero registrations, and the framed-leg
+// counter saying why.
 func TestRDMADifferential(t *testing.T) {
 	shapes := []struct{ nodes, ppn int }{{1, 2}, {2, 2}, {2, 4}}
 	modes := []string{"clean", "loss", "crash"}
@@ -66,8 +64,8 @@ func TestRDMADifferential(t *testing.T) {
 			sh, mode := sh, mode
 			np := sh.nodes * sh.ppn
 			t.Run(fmt.Sprintf("np%d/%s", np, mode), func(t *testing.T) {
-				run := func(workers int, place Switch) zcArtifacts {
-					w := rdmaWorld(t, mode, sh.nodes, sh.ppn, place)
+				run := func(workers int, framed bool) zcArtifacts {
+					w := rdmaWorld(t, mode, sh.nodes, sh.ppn, framed)
 					w.SetEngineWorkers(workers)
 					var a zcArtifacts
 					var err error
@@ -77,42 +75,39 @@ func TestRDMADifferential(t *testing.T) {
 						a, err = runZCWorkload(w, size)
 					}
 					if err != nil {
-						t.Fatalf("workers=%d place=%v: %v", workers, place, err)
+						t.Fatalf("workers=%d framed=%v: %v", workers, framed, err)
 					}
 					return a
 				}
-				ref := run(1, SwitchOn)
-				for _, workers := range []int{1, 8} {
-					for _, place := range []Switch{SwitchOn, SwitchOff} {
-						if workers == 1 && place == SwitchOn {
-							continue
-						}
-						assertSameArtifacts(t, run(workers, place), ref)
-					}
-				}
+				direct, framed := run(1, false), run(1, true)
+				assertSameArtifacts(t, direct, framed)
+				assertSameArtifacts(t, direct, run(8, false))
+				assertSameArtifacts(t, direct, run(8, true))
 
-				on := run(1, SwitchOn)
-				off := run(1, SwitchOff)
 				if mode == "clean" {
-					if on.host.RDMA.Writes < int64(np) {
-						t.Errorf("placement on: %d remote writes, want >= %d", on.host.RDMA.Writes, np)
+					if direct.host.RDMA.Writes < int64(np) {
+						t.Errorf("direct: %d remote writes, want >= %d", direct.host.RDMA.Writes, np)
 					}
-					if on.host.Reg.Misses == 0 {
+					if direct.host.Copy.FramedRndv != 0 {
+						t.Errorf("direct: %d rendezvous fell back to the framed leg on a clean fabric", direct.host.Copy.FramedRndv)
+					}
+					if direct.host.Reg.Misses == 0 {
 						t.Error("clean RDMA run registered nothing")
 					}
 					// Registration is protocol state: identical economics
 					// whichever way the bytes moved.
-					if on.host.Reg != off.host.Reg {
-						t.Errorf("registration stats differ: on %+v, off %+v", on.host.Reg, off.host.Reg)
+					if direct.host.Reg != framed.host.Reg {
+						t.Errorf("registration stats differ: direct %+v, framed %+v", direct.host.Reg, framed.host.Reg)
 					}
-				} else {
-					if on.host.Reg.Misses != 0 || on.host.RDMA.Writes != 0 {
-						t.Errorf("%s fabric: protocol active (reg misses %d, writes %d), want fallback",
-							mode, on.host.Reg.Misses, on.host.RDMA.Writes)
-					}
+					assertFramedOnly(t, "framed", framed)
+					return
 				}
-				if off.host.RDMA.Writes != 0 {
-					t.Errorf("placement off: %d remote writes, want 0", off.host.RDMA.Writes)
+				if direct.host.Reg.Misses != 0 || direct.host.RDMA.Writes != 0 {
+					t.Errorf("%s fabric: protocol active (reg misses %d, writes %d), want fallback",
+						mode, direct.host.Reg.Misses, direct.host.RDMA.Writes)
+				}
+				if mode == "loss" { // the crash workload is eager-only: nothing to frame
+					assertFramedOnly(t, "loss fabric", direct)
 				}
 			})
 		}
@@ -125,7 +120,7 @@ func TestRDMADifferential(t *testing.T) {
 // placement datapath writing every payload and the counters surfacing
 // in HostStats and the deterministic metrics JSON.
 func TestRDMAWarmColdCounters(t *testing.T) {
-	w := rdmaWorld(t, "clean", 2, 1, SwitchOn)
+	w := rdmaWorld(t, "clean", 2, 1, false)
 	const size = 512 << 10
 	a, err := runRepeatSend(w, size, 3)
 	if err != nil {
@@ -234,27 +229,36 @@ func TestRDMAAdaptivePromotion(t *testing.T) {
 	}
 }
 
-// TestRDMAFallbackUnderFaults mirrors TestZeroCopyDisabledUnderFaults
-// for the RDMA channel: a fault plan forces the framed path, and the
-// artifacts still match a placement-off world byte for byte.
+// TestRDMAFallbackUnderFaults pins the fallback on both protocol tiers:
+// a fault plan forces the framed leg (retransmission needs a stable
+// payload image) whether the message would have been a borrow (below
+// the RDMA threshold) or a placement write (above it), the counters say
+// so, and the artifacts still match a FramedDatapath world byte for
+// byte under the same plan.
 func TestRDMAFallbackUnderFaults(t *testing.T) {
 	const size = 96 << 10
-	run := func(place Switch) zcArtifacts {
-		topo := cluster.New(2, 1)
-		fab := fabric.Default(topo).WithFaults(faults.Uniform(5, 0.05))
-		w := NewWorld(topo, fab, Profile{RDMAPlacement: place, RDMAThreshold: 64 << 10})
-		a, err := runZCWorkload(w, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
+	for _, tc := range []struct {
+		name   string
+		thresh int
+	}{{"borrow-tier", 0}, {"rdma-tier", 64 << 10}} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(framed bool) zcArtifacts {
+				w := datapathWorld(2, 1, framed, faults.Uniform(5, 0.05), Profile{RDMAThreshold: tc.thresh})
+				a, err := runZCWorkload(w, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			def := run(false)
+			assertFramedOnly(t, "fault plan", def)
+			if def.host.Reg.Misses != 0 {
+				t.Errorf("fault plan active but %d registrations", def.host.Reg.Misses)
+			}
+			assertSameArtifacts(t, def, run(true))
+		})
 	}
-	on := run(SwitchOn)
-	if on.host.RDMA.Writes != 0 || on.host.Reg.Misses != 0 {
-		t.Errorf("fault plan active but protocol engaged (writes %d, misses %d)",
-			on.host.RDMA.Writes, on.host.Reg.Misses)
-	}
-	assertSameArtifacts(t, on, run(SwitchOff))
 }
 
 // TestRMACrossover demonstrates the protocol trade the rebase of
@@ -395,11 +399,11 @@ func captureArtifacts(w *World, body func(*Proc) error) (zcArtifacts, error) {
 	return a, nil
 }
 
-// FuzzRDMAEquivalence drives the placement differential across the
+// FuzzRDMAEquivalence drives the differential between nodes across the
 // (message size × eager limit × RDMA threshold × cache capacity ×
 // fault plan) space: whatever protocol tier each message lands in and
-// however hard the cache churns, placement on and off must agree on
-// every virtual artifact.
+// however hard the cache churns, the direct and framed datapaths must
+// agree on every virtual artifact.
 func FuzzRDMAEquivalence(f *testing.F) {
 	f.Add(uint32(64), uint32(0), uint32(0), uint32(0), false)
 	f.Add(uint32(128<<10), uint32(0), uint32(64<<10), uint32(0), false)
@@ -408,40 +412,34 @@ func FuzzRDMAEquivalence(f *testing.F) {
 	f.Add(uint32(256<<10), uint32(32<<10), uint32(300<<10), uint32(3), false)
 	f.Fuzz(func(t *testing.T, rawSize, rawEager, rawThresh, rawCache uint32, faulty bool) {
 		size := int(rawSize%(256<<10)) + 1
-		eager := int(rawEager % (64 << 10))    // 0 = fabric default
-		thresh := int(rawThresh%(320<<10)) - 1 // -1 disables the protocol
-		cacheEntries := int(rawCache % 9)      // 0 = default capacity
-		run := func(place Switch) zcArtifacts {
-			topo := cluster.New(2, 1)
-			fab := fabric.Default(topo)
-			if faulty {
-				plan := faults.Uniform(uint64(rawSize)^uint64(rawThresh)<<32, 0.05)
-				fab = fab.WithFaults(plan)
-			}
-			w := NewWorld(topo, fab, Profile{
-				RDMAPlacement:   place,
-				RDMAThreshold:   thresh,
-				RegCacheEntries: cacheEntries,
-				EagerInter:      eager,
-				EagerIntra:      eager,
-			})
-			a, err := runZCWorkload(w, size)
+		eager := int(rawEager % (64 << 10)) // 0 = fabric default
+		prof := Profile{
+			RDMAThreshold:   int(rawThresh%(320<<10)) - 1, // -1 disables the protocol
+			RegCacheEntries: int(rawCache % 9),            // 0 = default capacity
+			EagerInter:      eager,
+			EagerIntra:      eager,
+		}
+		var plan *faults.Plan
+		if faulty {
+			plan = faults.Uniform(uint64(rawSize)^uint64(rawThresh)<<32, 0.05)
+		}
+		run := func(framed bool) zcArtifacts {
+			a, err := runZCWorkload(datapathWorld(2, 1, framed, plan, prof), size)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
 		}
-		on := run(SwitchOn)
-		off := run(SwitchOff)
-		assertSameArtifacts(t, on, off)
-		if faulty && on.host.RDMA.Writes != 0 {
-			t.Errorf("fault plan active but %d placements", on.host.RDMA.Writes)
+		direct, framed := run(false), run(true)
+		assertSameArtifacts(t, direct, framed)
+		if faulty && direct.host.RDMA.Writes != 0 {
+			t.Errorf("fault plan active but %d placements", direct.host.RDMA.Writes)
 		}
-		if off.host.RDMA.Writes != 0 {
-			t.Errorf("placement off but %d placements", off.host.RDMA.Writes)
+		if framed.host.RDMA.Writes != 0 || framed.host.Copy.CopiesElided != 0 {
+			t.Errorf("framed datapath but %d placements, %d copies elided", framed.host.RDMA.Writes, framed.host.Copy.CopiesElided)
 		}
-		if on.host.Reg != off.host.Reg {
-			t.Errorf("registration stats differ: on %+v, off %+v", on.host.Reg, off.host.Reg)
+		if direct.host.Reg != framed.host.Reg {
+			t.Errorf("registration stats differ: direct %+v, framed %+v", direct.host.Reg, framed.host.Reg)
 		}
 	})
 }

@@ -46,8 +46,8 @@ type RegStats struct {
 }
 
 // RDMAStats counts host-side placement activity: the remote-memory
-// writes the placement datapath performed in lieu of framed DATA
-// packets. Purely host accounting — toggling the placement switch must
+// writes the direct datapath performed in lieu of framed DATA
+// packets. Purely host accounting — which leg moved the bytes must
 // not move a virtual timestamp — so it never enters the registry.
 type RDMAStats struct {
 	Writes      int64 `json:"writes"`

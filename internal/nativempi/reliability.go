@@ -70,11 +70,9 @@ type relState struct {
 	// the ack stream: payload bytes and the settled attempt's send
 	// time, so the eventual ack can be traced as a full round trip.
 	await map[relKey]relAwait
-	// verdicts/burst are per-message scratch reused across reliablePost
-	// calls: the whole transmission schedule is adjudicated, then
-	// materialised, then delivered as one mailbox batch.
+	// verdicts is per-message scratch reused across reliablePost calls:
+	// the whole transmission schedule is adjudicated in one fabric call.
 	verdicts []faults.Verdict
-	burst    []*packet
 }
 
 // relAwait is the sender-side record of one in-flight acknowledgement.
@@ -138,13 +136,11 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 	prof := &p.w.prof
 	fab := p.w.fab
 	wireTime := pkt.arriveAt.Sub(pkt.sentAt)
-	n := len(pkt.data)
+	n := pkt.data.size()
 	hdr := mpjbuf.RelHeader{Stream: uint8(stream), Kind: uint8(pkt.kind), Seq: seq}
 
 	// Adjudicate the whole burst in one fabric call, then materialise
-	// exactly the copies that reach the destination. They all target
-	// one mailbox, so they are delivered as a single batch below —
-	// one lock acquisition for the burst instead of one per copy.
+	// exactly the copies that reach the destination.
 	rel := p.rel
 	var settled int
 	rel.verdicts, settled = fab.BurstVerdicts(p.rank, dst, stream, seq, prof.MaxRetransmits, rel.verdicts[:0])
@@ -167,10 +163,10 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 				fmt.Sprintf("drop %v seq=%d attempt=%d", stream, seq, k), dst, n, sendT)
 		} else {
 			hdr.Attempt = uint16(k)
-			frame := mpjbuf.EncodeRelFrame(hdr, pkt.data)
+			frame := mpjbuf.EncodeRelFrame(hdr, pkt.data.b)
 			// Framing copies the payload into the frame image — host
-			// data movement the zero-copy path can never elide, which is
-			// why a fault plan forces wire-copy rendezvous.
+			// data movement a borrow can never elide, which is why a
+			// fault plan forces the framed rendezvous leg.
 			p.copyStats.count(n)
 			if v.CorruptPos >= 0 {
 				frame[v.CorruptPos%len(frame)] ^= 0xA5
@@ -187,19 +183,23 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 			*cp = *pkt
 			cp.freed = false
 			cp.wire = frame
-			cp.data = nil // the receiver recovers the payload from the frame
+			cp.data = Payload{} // the receiver recovers the payload from the frame
 			cp.ownsData = false
 			cp.relStream, cp.relSeq, cp.attempt = stream, seq, k
 			cp.sentAt = sendT
 			cp.arriveAt = sendT.Add(wireTime + v.Delay)
-			rel.burst = append(rel.burst, cp)
 			lastSendT = sendT
-			if v.Duplicate {
+			if !v.Duplicate {
+				p.postRaw(dst, cp)
+			} else {
+				// Copied before cp is posted: a posted packet belongs to
+				// the transport.
 				dup := getPacket()
 				*dup = *cp
 				dup.freed = false
 				dup.arriveAt = cp.arriveAt.Add(ch.Latency / 2)
-				rel.burst = append(rel.burst, dup)
+				p.postRaw(dst, cp)
+				p.postRaw(dst, dup)
 				p.stats.FaultDups++
 				p.recordRel(trace.KindFault,
 					fmt.Sprintf("dup %v seq=%d attempt=%d", stream, seq, k), dst, n, sendT)
@@ -214,11 +214,6 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 		sendT = sendT.Add(rto)
 		rto *= vtime.Duration(prof.RetransmitBackoff)
 	}
-	// Deliver the burst: every materialised copy, in attempt order,
-	// under one lock acquisition at the destination mailbox.
-	p.postRawBatch(dst, rel.burst)
-	clearTail(rel.burst, 0)
-	rel.burst = rel.burst[:0]
 	if settled < 0 {
 		reason := fmt.Sprintf("rank %d: peer %d unreachable: no ack for %v seq %d after %d attempts",
 			p.rank, dst, stream, seq, prof.MaxRetransmits)
@@ -299,7 +294,7 @@ func (p *Proc) admit(pkt *packet) bool {
 			fmt.Sprintf("dup reject %v seq=%d attempt=%d", stream, hdr.Seq, hdr.Attempt), pkt.src, len(payload), pkt.arriveAt)
 		return false
 	}
-	pkt.data = payload
+	pkt.data = Contig(payload)
 	return true
 }
 

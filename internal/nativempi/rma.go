@@ -181,7 +181,7 @@ func (w *Win) injectRMA(target int, kind pktKind, meta int64, off int, data []by
 	pkt.dst = wdst
 	pkt.tag = off
 	pkt.ctx = w.id
-	pkt.data = payload
+	pkt.data = Contig(payload)
 	pkt.ownsData = true
 	pkt.rdma = rdma
 	pkt.nbytes = int(meta)
@@ -254,7 +254,7 @@ func (w *Win) rmaLandCost(pkt *packet) vtime.Duration {
 	if pkt.rdma {
 		return ch.RDMAFinOverhead
 	}
-	n := len(pkt.data)
+	n := pkt.data.size()
 	chunks := 1 + (n-1)/w.c.p.w.prof.RDMAStageChunk
 	if chunks < 1 {
 		chunks = 1
@@ -266,24 +266,25 @@ func (w *Win) rmaLandCost(pkt *packet) vtime.Duration {
 func (w *Win) applyIncoming(pkt *packet) error {
 	p := w.c.p
 	op, kind, rop := rmaMetaUnpack(int64(pkt.nbytes))
+	data := pkt.data.b
 	switch op {
 	case rmaPut:
-		if pkt.tag+len(pkt.data) > len(w.st.base) {
-			return fmt.Errorf("%w: put beyond window (%d+%d > %d)", ErrCount, pkt.tag, len(pkt.data), len(w.st.base))
+		if pkt.tag+len(data) > len(w.st.base) {
+			return fmt.Errorf("%w: put beyond window (%d+%d > %d)", ErrCount, pkt.tag, len(data), len(w.st.base))
 		}
 		p.clock.AdvanceTo(pkt.arriveAt)
-		copy(w.st.base[pkt.tag:], pkt.data)
-		p.copyStats.count(len(pkt.data))
+		copy(w.st.base[pkt.tag:], data)
+		p.copyStats.count(len(data))
 		p.clock.Advance(w.rmaLandCost(pkt))
 	case rmaAcc:
-		if pkt.tag+len(pkt.data) > len(w.st.base) {
+		if pkt.tag+len(data) > len(w.st.base) {
 			return fmt.Errorf("%w: accumulate beyond window", ErrCount)
 		}
 		p.clock.AdvanceTo(pkt.arriveAt)
-		if err := reduceInto(w.st.base[pkt.tag:pkt.tag+len(pkt.data)], pkt.data, kind, rop); err != nil {
+		if err := reduceInto(w.st.base[pkt.tag:pkt.tag+len(data)], data, kind, rop); err != nil {
 			return err
 		}
-		w.c.chargeCompute(len(pkt.data))
+		w.c.chargeCompute(len(data))
 		p.clock.Advance(w.rmaLandCost(pkt))
 	case rmaGetReq:
 		n := int(int64(pkt.nbytes) >> 24)
@@ -319,7 +320,7 @@ func (w *Win) completeReply(pkt *packet) {
 	if !ok {
 		panic(fmt.Sprintf("nativempi: rank %d got RMA reply for unknown get %d", w.c.p.rank, pkt.reqID))
 	}
-	copy(g.dst, pkt.data)
+	copy(g.dst, pkt.data.b)
 	g.done = true
 	g.at = pkt.arriveAt
 }

@@ -483,11 +483,7 @@ func (p *Proc) rankPop() *packet {
 		if pkt, ok := p.mb.tryPop(); ok {
 			return pkt
 		}
-		eng := p.w.eng.Load()
-		if eng == nil {
-			return p.mb.pop()
-		}
-		eng.block(p.rank)
+		p.w.eng.Load().block(p.rank)
 		if p.tg != nil {
 			p.threadStats.RankBlocks++
 		}

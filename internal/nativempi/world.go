@@ -26,18 +26,11 @@ type World struct {
 
 	// eng is the phase-stepped scale-out scheduler, non-nil exactly
 	// while Run executes (atomic: Abort may be called from outside the
-	// rank goroutines, and tests drive bare Procs with no engine at
-	// all). engWorkers configures the worker-pool width for the next
-	// Run: 0 = GOMAXPROCS, 1 = serial reference execution.
+	// rank goroutines). engWorkers configures the worker-pool width for
+	// the next Run: 0 = GOMAXPROCS, 1 = serial reference execution.
 	eng        atomic.Pointer[engine]
 	engWorkers int
 	engStats   EngineStats
-
-	// zeroCopy caches the world-level half of the zero-copy rendezvous
-	// decision: profile switch on AND no fault plan (framed
-	// retransmission needs a mutable payload image). Procs additionally
-	// require !ft at use time (see Proc.zeroCopyRndv).
-	zeroCopy bool
 
 	// flowOn caches whether the profile enables credit-based eager flow
 	// control (EagerCredits > 0; see flowctl.go).
@@ -45,16 +38,8 @@ type World struct {
 
 	// rdmaProto caches the world-level half of the RDMA protocol
 	// decision (threshold enabled AND no fault plan; Procs additionally
-	// require !ft, see Proc.rdmaOK) and rdmaPlace the host-only
-	// placement-datapath switch — the RDMA analogue of zeroCopy.
+	// require !ft, see Proc.rdmaOK).
 	rdmaProto bool
-	rdmaPlace bool
-
-	// ddtDirect caches the host-only gather-direct switch for
-	// non-contiguous (derived-datatype) payloads (see Profile.
-	// DDTGatherDirect): off stages strided rendezvous and placement
-	// traffic through a packed wire image instead.
-	ddtDirect bool
 
 	// Fault-tolerance state (see ft.go). ft selects the ULFM-style
 	// policy: a rank crash becomes a survivable event instead of a job
@@ -79,11 +64,8 @@ func NewWorld(topo *cluster.Topology, fab *fabric.Fabric, prof Profile) *World {
 		panic("nativempi: nil topology or fabric")
 	}
 	w := &World{topo: topo, fab: fab, prof: prof.normalize()}
-	w.zeroCopy = w.prof.ZeroCopyRndv == SwitchOn && fab.Faults() == nil
 	w.flowOn = w.prof.EagerCredits > 0
 	w.rdmaProto = w.prof.RDMAThreshold > 0 && fab.Faults() == nil
-	w.rdmaPlace = w.prof.RDMAPlacement == SwitchOn
-	w.ddtDirect = w.prof.DDTGatherDirect == SwitchOn
 	w.nextCtx.Store(2)
 	w.procs = make([]*Proc, topo.Size())
 	for r := range w.procs {
@@ -138,8 +120,10 @@ func (w *World) Abort(origin int, reason string) {
 			eng.abort(origin, reason)
 			return
 		}
+		// No engine: Abort called outside Run (before it, or after it
+		// returned).
 		for _, q := range w.procs {
-			q.mb.push(&packet{kind: pktAbort, src: origin, data: []byte(reason)})
+			q.mb.push(&packet{kind: pktAbort, src: origin, data: Contig([]byte(reason))})
 		}
 	})
 }
