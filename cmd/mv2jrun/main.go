@@ -114,7 +114,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mv2jrun: trace:", err)
 		}
 		fmt.Println("--- summary ---")
-		for kind, s := range rec.Summary() {
+		summary := rec.Summary()
+		kinds := make([]string, 0, len(summary))
+		for kind := range summary {
+			kinds = append(kinds, string(kind))
+		}
+		sort.Strings(kinds) // map order would be the one nondeterministic line of output
+		for _, kind := range kinds {
+			s := summary[trace.Kind(kind)]
 			fmt.Printf("  %-8s count=%-6d bytes=%-10d time=%v\n", kind, s.Count, s.Bytes, s.Time)
 		}
 	}

@@ -5,27 +5,23 @@ import (
 
 	"mv2j/internal/jvm"
 	"mv2j/internal/mpjbuf"
+	"mv2j/internal/nativempi"
+	"mv2j/internal/trace"
 	"mv2j/internal/vtime"
 )
 
 // Buffer staging: every message call reduces its user buffer — a Java
-// array or a ByteBuffer — to a contiguous native byte view, the way
-// the real bindings do at the JNI boundary.
-//
-//   - direct ByteBuffer: GetDirectBufferAddress, zero copy;
-//   - heap ByteBuffer: the JVM copy JNI imposes on movable objects;
-//   - array under MVAPICH2-J: staged through the mpjbuf pool (Fig. 3);
-//   - array under Open MPI-J: Get/Release<Type>ArrayElements, which
-//     copies the WHOLE array in each direction.
+// array or a ByteBuffer — to a native view, the way the real bindings do
+// at the JNI boundary. One function (stage) validates the buffer and
+// builds one descriptor (staged) whatever the buffer kind, flavor and
+// call family; DESIGN.md's "Bindings staging" table lists, per case, the
+// view, the host copies, the virtual charges and what finish and release
+// do.
 //
 // offset is in base elements of the array, exactly the mpiJava
 // 1.2-style argument §IV-B argues for; the Open MPI-J flavor rejects
 // non-zero offsets at the API layer, so only MVAPICH2-J paths ever see
 // one.
-
-func noop() {}
-
-func nofinish() error { return nil }
 
 // Open MPI-J's per-call native scratch allocation costs (malloc at
 // stage-in, free at release).
@@ -36,7 +32,7 @@ const (
 
 // arrayNeed returns the number of base elements a (offset, count, dt)
 // access touches.
-func arrayNeed(offset, count int, dt Datatype) int {
+func arrayNeed(offset, count int, dt *Datatype) int {
 	return offset + count*dt.Extent()
 }
 
@@ -44,7 +40,7 @@ func arrayNeed(offset, count int, dt Datatype) int {
 // Committed derived types stream their coalesced run list through the
 // typed pack engine (mpjbuf.WriteRuns) — one bulk transfer per run;
 // legacy derived types walk the per-block map.
-func packInto(b *mpjbuf.Buffer, arr jvm.Array, offset, count int, dt Datatype) error {
+func packInto(b *mpjbuf.Buffer, arr jvm.Array, offset, count int, dt *Datatype) error {
 	if dt.contiguous() {
 		return b.Write(arr, offset, count*dt.baseElems())
 	}
@@ -69,7 +65,7 @@ func packInto(b *mpjbuf.Buffer, arr jvm.Array, offset, count int, dt Datatype) e
 
 // unpackFrom reads count dt elements out of b into arr at offset,
 // mirroring packInto's typed-engine fast path.
-func unpackFrom(b *mpjbuf.Buffer, arr jvm.Array, offset, count int, dt Datatype) error {
+func unpackFrom(b *mpjbuf.Buffer, arr jvm.Array, offset, count int, dt *Datatype) error {
 	if dt.contiguous() {
 		return b.Read(arr, offset, count*dt.baseElems())
 	}
@@ -92,228 +88,363 @@ func unpackFrom(b *mpjbuf.Buffer, arr jvm.Array, offset, count int, dt Datatype)
 	return nil
 }
 
-// packBytes/unpackBytes are the native-side equivalents used by the
-// Open MPI-J array path, operating on the JNI array copy.
-func packBytes(dst, elems []byte, offset, count int, dt Datatype) {
+// moveBlocks is the native-side equivalent on the Open MPI-J array
+// path: it copies count non-contiguous dt elements between region, the
+// JNI copy of the array span they lie in, and their packed image — out
+// of the region when dir is dirSend, back into it otherwise.
+func moveBlocks(region, packed []byte, count int, dt *Datatype, dir stageDir) {
 	esz := dt.base.Size()
-	base := offset * esz
-	if dt.contiguous() {
-		copy(dst, elems[base:base+count*dt.Size()])
-		return
-	}
-	pos := 0
 	for e := 0; e < count; e++ {
-		elemBase := base + e*dt.Extent()*esz
+		elemBase := e * dt.Extent() * esz
 		_ = dt.blocks(func(displ, length int) error {
-			n := length * esz
-			copy(dst[pos:pos+n], elems[elemBase+displ*esz:])
-			pos += n
+			at, n := elemBase+displ*esz, length*esz
+			if dir == dirSend {
+				copy(packed[:n], region[at:])
+			} else {
+				copy(region[at:at+n], packed)
+			}
+			packed = packed[n:]
 			return nil
 		})
 	}
 }
 
-func unpackBytes(elems, src []byte, offset, count int, dt Datatype) {
-	esz := dt.base.Size()
-	base := offset * esz
-	if dt.contiguous() {
-		copy(elems[base:base+count*dt.Size()], src)
-		return
+// stageDir says which way a staged buffer's bytes flow. dirIovec may be
+// or-ed in by callers whose native entry takes a nativempi.Payload (the
+// point-to-point family): a committed strided array is then pinned and
+// described in place instead of packed.
+type stageDir uint8
+
+const (
+	dirSend stageDir = iota
+	dirRecv
+	dirIovec stageDir = 1 << 1
+)
+
+func (d stageDir) String() string {
+	if d&dirRecv != 0 {
+		return "recv"
 	}
-	pos := 0
-	for e := 0; e < count; e++ {
-		elemBase := base + e*dt.Extent()*esz
-		_ = dt.blocks(func(displ, length int) error {
-			n := length * esz
-			copy(elems[elemBase+displ*esz:elemBase+displ*esz+n], src[pos:pos+n])
-			pos += n
-			return nil
-		})
-	}
+	return "send"
 }
 
-// sendStageImpl produces the contiguous native view of a send buffer
-// plus a release function to run once the payload is no longer needed.
-// Callers go through sendStage (observe.go), which adds the copy-in
-// trace span.
-func (m *MPI) sendStageImpl(buf any, offset, count int, dt Datatype) (raw []byte, free func(), err error) {
-	dt.checkUsable("send")
+// stageKind names the resource behind a staged view — what release
+// returns and, on the receive side, what finish unpacks from.
+type stageKind uint8
+
+const (
+	kindAlias   stageKind = iota // direct ByteBuffer, empty message, or a heap ByteBuffer's send copy: nothing held
+	kindPooled                   // MVAPICH2-J array: an mpjbuf buffer (Fig. 3)
+	kindPinned                   // MVAPICH2-J committed strided array: a JNI critical region, described as an iovec
+	kindScratch                  // Open MPI-J array: a malloc'd copy of the array region
+	kindBounce                   // heap ByteBuffer landing: the JVM's copy for native code
+)
+
+// staged is one user buffer reduced to its native view, plus exactly
+// what completing the call needs. It is a value: the blocking calls keep
+// it on the stack, so staging allocates nothing of its own, and a
+// request keeps a copy only while something is held (see held). The
+// zero value is the empty message.
+type staged struct {
+	// view is what the native call reads or fills.
+	view nativempi.Payload
+
+	m    *MPI
+	user any            // the jvm.Array or heap *jvm.ByteBuffer that finish writes and release unpins
+	buf  *mpjbuf.Buffer // kindPooled: the staging buffer
+	// region is kindScratch's copy of the array region: the source the
+	// send view was cut or packed from, the image a landing is merged
+	// into before Set<Type>ArrayRegion writes it back.
+	region []byte
+	// offset is in base elements of the array (bytes into a heap
+	// ByteBuffer); n is the element count finish unpacks — layout
+	// elements when layout is set, base elements otherwise.
+	offset, n int
+	// layout is the datatype of a non-contiguous landing, copied to the
+	// heap only for those: a contiguous unpack needs no layout, and
+	// holding the caller's pointer would move every Datatype argument of
+	// every call to the heap.
+	layout *Datatype
+	kind   stageKind
+	dir    stageDir
+}
+
+// bytes is the contiguous view for the native calls that take []byte.
+func (s *staged) bytes() []byte { return s.view.Bytes() }
+
+// landing records what finish needs to unpack count dt elements.
+func (s *staged) landing(count int, dt *Datatype) {
+	if dt.contiguous() {
+		s.n = count * dt.baseElems()
+		return
+	}
+	layout := *dt
+	s.layout, s.n = &layout, count
+}
+
+// stage validates (buf, offset, count, dt) once and reduces it to its
+// native view. pool is where an MVAPICH2-J array stages: the rank's
+// point-to-point pool, or the per-call collective pool (§IV-D).
+func (m *MPI) stage(buf any, offset, count int, dt *Datatype, dir stageDir, pool *mpjbuf.Pool) (staged, error) {
+	send := dir&dirRecv == 0
+	dt.checkUsable(dir.String())
+	if count < 0 {
+		return staged{}, fmt.Errorf("%w: negative %s count %d", ErrCount, dir, count)
+	}
 	nbytes := count * dt.Size()
+	st := staged{m: m, user: buf, offset: offset, dir: dir & dirRecv}
+	start := m.proc.Clock().Now()
 	switch b := buf.(type) {
 	case jvm.Array:
 		if b.Kind() != dt.Kind() {
-			return nil, nil, fmt.Errorf("%w: %v array with %v datatype", ErrBufferType, b.Kind(), dt)
+			return staged{}, fmt.Errorf("%w: %v array with %v datatype", ErrBufferType, b.Kind(), *dt)
 		}
-		if err := checkCount(arrayNeed(offset, count, dt), b.Len(), "send"); err != nil {
-			return nil, nil, err
+		if err := checkCount(arrayNeed(offset, count, dt), b.Len(), dir.String()); err != nil {
+			return staged{}, err
 		}
-		if m.flavor == OpenMPIJ {
-			// The Open MPI bindings marshal the message region into a
-			// malloc'd native scratch buffer (Get<Type>ArrayRegion) —
-			// a fresh allocation per call, which is precisely the cost
-			// MVAPICH2-J's buffer pool exists to avoid.
+		switch {
+		case m.flavor == OpenMPIJ:
+			// The Open MPI bindings marshal the message region through a
+			// malloc'd native scratch buffer — a fresh allocation per
+			// call, which is precisely the cost MVAPICH2-J's buffer pool
+			// exists to avoid. A strided landing reads the region out
+			// first so the gaps between blocks survive the write-back.
 			need := arrayNeed(offset, count, dt) - offset
-			region := make([]byte, need*dt.base.Size())
+			st.kind, st.region = kindScratch, make([]byte, need*dt.base.Size())
 			m.machine.Charge(ompijScratchAlloc)
-			m.env.GetArrayRegion(b, offset, need, region)
-			m.proc.CountHostCopy(len(region))
-			if dt.contiguous() {
-				return region[:nbytes], func() { m.machine.Charge(ompijScratchFree) }, nil
+			if !send {
+				st.landing(count, dt)
 			}
-			packed := make([]byte, nbytes)
-			packBytes(packed, region, 0, count, dt)
-			m.machine.ChargeBulk(nbytes)
+			if send || !dt.contiguous() {
+				m.env.GetArrayRegion(b, offset, need, st.region)
+				m.proc.CountHostCopy(len(st.region))
+			}
+			raw := st.region[:nbytes]
+			if !dt.contiguous() {
+				raw = make([]byte, nbytes)
+				if send {
+					moveBlocks(st.region, raw, count, dt, dirSend)
+					m.machine.ChargeBulk(nbytes)
+					m.proc.CountHostCopy(nbytes)
+				}
+			}
+			st.view = nativempi.Contig(raw)
+		case nbytes == 0:
+			// Zero-byte messages need no staging (and the pool rejects
+			// empty requests).
+		case dir&dirIovec != 0 && m.vecPath && dt.needsCommit && !dt.contiguous():
+			// Non-contiguous zero copy: pin the array and hand the
+			// transport an iovec over it (ddt.go). No copy-in span: there
+			// is no copy. The landing is scattered in place, so there is
+			// nothing to unpack either.
+			st.kind = kindPinned
+			st.view = nativempi.Strided(buildVec(m.env.GetPrimitiveArrayCritical(b), offset, count, dt))
+			return st, nil
+		default:
+			stage, err := pool.Get(nbytes)
+			if err != nil {
+				return staged{}, err
+			}
+			st.kind, st.buf = kindPooled, stage
+			if !send {
+				st.landing(count, dt)
+				st.view = nativempi.Contig(stage.RawCapacity()[:nbytes])
+				break
+			}
+			err = packInto(stage, b, offset, count, dt)
+			if err == nil {
+				err = stage.Commit()
+			}
+			if err != nil {
+				stage.Free()
+				return staged{}, err
+			}
 			m.proc.CountHostCopy(nbytes)
-			return packed, func() { m.machine.Charge(ompijScratchFree) }, nil
+			st.view = nativempi.Contig(stage.Raw())
 		}
-		// MVAPICH2-J: stage through the buffering layer. Zero-byte
-		// messages need no staging (and the pool rejects empty
-		// requests).
-		if nbytes == 0 {
-			return nil, noop, nil
-		}
-		stage, err := m.stagePool().Get(nbytes)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := packInto(stage, b, offset, count, dt); err != nil {
-			stage.Free()
-			return nil, nil, err
-		}
-		if err := stage.Commit(); err != nil {
-			stage.Free()
-			return nil, nil, err
-		}
-		m.proc.CountHostCopy(nbytes)
-		return stage.Raw(), stage.Free, nil
 
 	case *jvm.ByteBuffer:
 		if dt.IsDerived() {
-			return nil, nil, fmt.Errorf("%w: derived datatypes require the buffering layer (use a Java array)", ErrUnsupported)
+			return staged{}, fmt.Errorf("%w: derived datatypes require the buffering layer (use a Java array)", ErrUnsupported)
 		}
-		start := b.Position() + offset*dt.Size()
-		if start+nbytes > b.Limit() {
-			return nil, nil, fmt.Errorf("%w: %d bytes at position %d exceed buffer limit %d",
-				ErrCount, nbytes, start, b.Limit())
+		st.offset = b.Position() + offset*dt.Size()
+		if st.offset+nbytes > b.Limit() {
+			return staged{}, fmt.Errorf("%w: %d bytes at position %d exceed buffer limit %d",
+				ErrCount, nbytes, st.offset, b.Limit())
 		}
 		if b.IsDirect() {
-			// Direct pass-through: the send path hands the runtime a
-			// slice aliasing the buffer's off-heap storage — no mpjbuf
-			// bounce, no host copy, and (matching real JNI, where
-			// GetDirectBufferAddress is a pointer fetch) no virtual
-			// charge either. This is the host half of the zero-copy
-			// datapath: with rendezvous borrowing downstream
-			// (nativempi), a large direct-buffer send moves exactly one
-			// host memcpy, at the receiver. See DESIGN.md §"Host
-			// datapath policy".
-			view := m.env.GetDirectBufferAddress(b)
-			return view[start : start+nbytes], noop, nil
+			// Direct pass-through: the runtime gets a slice aliasing the
+			// buffer's off-heap storage — no mpjbuf bounce, no host copy,
+			// and (matching real JNI, where GetDirectBufferAddress is a
+			// field read, not a crossing) 12 ns of virtual time. This is
+			// the host half of the zero-copy datapath: with rendezvous
+			// borrowing downstream (nativempi), a large direct-buffer send
+			// moves exactly one host memcpy, at the receiver. See
+			// DESIGN.md §"Host datapath policy".
+			st.view = nativempi.Contig(m.env.GetDirectBufferAddress(b)[st.offset : st.offset+nbytes])
+			break
 		}
 		// Heap buffer: the JVM must copy it for native code.
 		tmp := make([]byte, nbytes)
-		copy(tmp, b.RawBytes()[start:start+nbytes])
-		m.machine.ChargeBulk(nbytes)
-		m.proc.CountHostCopy(nbytes)
-		return tmp, noop, nil
+		if send {
+			copy(tmp, b.RawBytes()[st.offset:st.offset+nbytes])
+			m.machine.ChargeBulk(nbytes)
+			m.proc.CountHostCopy(nbytes)
+		} else {
+			st.kind = kindBounce
+		}
+		st.view = nativempi.Contig(tmp)
 
 	case nil:
-		if nbytes == 0 {
-			return nil, noop, nil
+		if nbytes != 0 {
+			return staged{}, fmt.Errorf("%w: nil buffer with %d bytes", ErrBufferType, nbytes)
 		}
-		return nil, nil, fmt.Errorf("%w: nil buffer with %d bytes", ErrBufferType, nbytes)
 	default:
-		return nil, nil, fmt.Errorf("%w: got %T", ErrBufferType, buf)
+		return staged{}, fmt.Errorf("%w: got %T", ErrBufferType, buf)
+	}
+	if send {
+		m.recordCopy(trace.KindCopyIn, nbytes, start)
+	}
+	return st, nil
+}
+
+// finish unpacks a landed receive into the user buffer, inside a
+// copy-out span. Run it only after the native operation has completed.
+func (s *staged) finish() error {
+	if s.dir != dirRecv || s.kind == kindAlias || s.kind == kindPinned {
+		return nil
+	}
+	m, raw := s.m, s.bytes()
+	start := m.proc.Clock().Now()
+	switch s.kind {
+	case kindPooled:
+		if err := s.buf.SetIncoming(len(raw)); err != nil {
+			return err
+		}
+		arr := s.user.(jvm.Array)
+		if s.layout == nil {
+			if err := s.buf.Read(arr, s.offset, s.n); err != nil {
+				return err
+			}
+		} else if err := unpackFrom(s.buf, arr, s.offset, s.n, s.layout); err != nil {
+			return err
+		}
+		m.proc.CountHostCopy(len(raw))
+	case kindScratch:
+		copied := len(s.region)
+		if s.layout != nil {
+			moveBlocks(s.region, raw, s.n, s.layout, dirRecv)
+			m.machine.ChargeBulk(len(raw))
+			copied += len(raw)
+		}
+		m.env.SetArrayRegion(s.user.(jvm.Array), s.offset, s.region)
+		m.proc.CountHostCopy(copied)
+	case kindBounce:
+		copy(s.user.(*jvm.ByteBuffer).RawBytes()[s.offset:s.offset+len(raw)], raw)
+		m.machine.ChargeBulk(len(raw))
+		m.proc.CountHostCopy(len(raw))
+	}
+	m.recordCopy(trace.KindCopyOut, len(raw), start)
+	return nil
+}
+
+// release returns the staging resource. For a pinned array it closes
+// the critical region, so it must wait for the native operation to
+// complete: the transport may still be reading from — or landing
+// payload into — the pinned view.
+func (s *staged) release() {
+	switch s.kind {
+	case kindPooled:
+		s.buf.Free()
+	case kindPinned:
+		s.m.env.ReleasePrimitiveArrayCritical(s.user.(jvm.Array))
+	case kindScratch:
+		s.m.machine.Charge(ompijScratchFree)
 	}
 }
 
-// recvStageImpl produces the native landing area for a receive, a
-// finish function that unpacks into the user buffer once data has
-// landed, and a free function for the staging resources. Callers go
-// through recvStage (observe.go), which adds the copy-out trace span.
-func (m *MPI) recvStageImpl(buf any, offset, count int, dt Datatype) (raw []byte, finish func() error, free func(), err error) {
-	dt.checkUsable("recv")
-	nbytes := count * dt.Size()
-	switch b := buf.(type) {
-	case jvm.Array:
-		if b.Kind() != dt.Kind() {
-			return nil, nil, nil, fmt.Errorf("%w: %v array with %v datatype", ErrBufferType, b.Kind(), dt)
-		}
-		if err := checkCount(arrayNeed(offset, count, dt), b.Len(), "recv"); err != nil {
-			return nil, nil, nil, err
-		}
-		if m.flavor == OpenMPIJ {
-			// Land in a malloc'd scratch, then Set<Type>ArrayRegion
-			// back into the Java array.
-			need := arrayNeed(offset, count, dt) - offset
-			region := make([]byte, need*dt.base.Size())
-			m.machine.Charge(ompijScratchAlloc)
-			if dt.contiguous() {
-				return region[:nbytes], func() error {
-						m.env.SetArrayRegion(b, offset, region)
-						m.proc.CountHostCopy(len(region))
-						return nil
-					},
-					func() { m.machine.Charge(ompijScratchFree) }, nil
-			}
-			// Strided landing: read the current region out first so the
-			// gaps between blocks survive the write-back.
-			m.env.GetArrayRegion(b, offset, need, region)
-			m.proc.CountHostCopy(len(region))
-			tmp := make([]byte, nbytes)
-			return tmp, func() error {
-					unpackBytes(region, tmp, 0, count, dt)
-					m.machine.ChargeBulk(nbytes)
-					m.env.SetArrayRegion(b, offset, region)
-					m.proc.CountHostCopy(nbytes + len(region))
-					return nil
-				},
-				func() { m.machine.Charge(ompijScratchFree) }, nil
-		}
-		if nbytes == 0 {
-			return nil, nofinish, noop, nil
-		}
-		stage, err := m.stagePool().Get(nbytes)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return stage.RawCapacity()[:nbytes], func() error {
-			if err := stage.SetIncoming(nbytes); err != nil {
-				return err
-			}
-			if err := unpackFrom(stage, b, offset, count, dt); err != nil {
-				return err
-			}
-			m.proc.CountHostCopy(nbytes)
-			return nil
-		}, stage.Free, nil
-
-	case *jvm.ByteBuffer:
-		if dt.IsDerived() {
-			return nil, nil, nil, fmt.Errorf("%w: derived datatypes require the buffering layer (use a Java array)", ErrUnsupported)
-		}
-		start := b.Position() + offset*dt.Size()
-		if start+nbytes > b.Limit() {
-			return nil, nil, nil, fmt.Errorf("%w: %d bytes at position %d exceed buffer limit %d",
-				ErrCount, nbytes, start, b.Limit())
-		}
-		if b.IsDirect() {
-			view := m.env.GetDirectBufferAddress(b)
-			return view[start : start+nbytes], nofinish, noop, nil
-		}
-		tmp := make([]byte, nbytes)
-		return tmp, func() error {
-			copy(b.RawBytes()[start:start+nbytes], tmp)
-			m.machine.ChargeBulk(nbytes)
-			m.proc.CountHostCopy(nbytes)
-			return nil
-		}, noop, nil
-
-	case nil:
-		if nbytes == 0 {
-			return nil, nofinish, noop, nil
-		}
-		return nil, nil, nil, fmt.Errorf("%w: nil buffer with %d bytes", ErrBufferType, nbytes)
-	default:
-		return nil, nil, nil, fmt.Errorf("%w: got %T", ErrBufferType, buf)
+// held is the descriptor as a request keeps it across the calls that
+// post and complete a non-blocking operation: a heap copy when there is
+// something to finish or release, nil otherwise — embedding the value
+// would triple the Request every direct-buffer Isend/Irecv allocates.
+func (s *staged) held() *staged {
+	if s.kind == kindAlias {
+		return nil
 	}
+	h := *s
+	return &h
+}
+
+// done completes a staged call whose native half returned err: unpack
+// if it succeeded, release either way. A nil descriptor held nothing.
+func (s *staged) done(err error) error {
+	if s == nil {
+		return err
+	}
+	if err == nil {
+		err = s.finish()
+	}
+	s.release()
+	return err
+}
+
+// staging is the staged form of a call with a send and a receive side
+// (Sendrecv, most collectives). A side this rank does not stage — a
+// non-root's receive buffer — is staged as (nil, 0): the empty message,
+// which charges and holds nothing.
+type staging struct{ s, r staged }
+
+// add files the next staged side under its direction. If staging it
+// failed, the side already held is released.
+func (st *staging) add(d staged, err error) error {
+	switch {
+	case err != nil:
+		st.release()
+	case d.dir == dirRecv:
+		st.r = d
+	default:
+		st.s = d
+	}
+	return err
+}
+
+func (st *staging) send() []byte { return st.s.bytes() }
+func (st *staging) recv() []byte { return st.r.bytes() }
+
+// release frees the receive side first: Sendrecv stages send-first
+// through the point-to-point pool, whose per-class free lists are LIFO,
+// so the order decides which buffer (and registration-cache key) the
+// next Get sees.
+func (st *staging) release() {
+	st.r.release()
+	st.s.release()
+}
+
+// held is staged.held for both sides.
+func (st *staging) held() *staging {
+	if st.s.kind == kindAlias && st.r.kind == kindAlias {
+		return nil
+	}
+	h := *st
+	return &h
+}
+
+// done is staged.done for both sides.
+func (st *staging) done(err error) error {
+	if st == nil {
+		return err
+	}
+	err = st.r.done(err)
+	st.s.release()
+	return err
+}
+
+// stageColl stages a collective's two sides, send first, through the
+// per-call collective pool.
+func (c *Comm) stageColl(sbuf any, scount int, rbuf any, rcount int, dt *Datatype) (st staging, err error) {
+	m := c.mpi
+	if err = st.add(m.stage(sbuf, 0, scount, dt, dirSend, m.collPool)); err == nil {
+		err = st.add(m.stage(rbuf, 0, rcount, dt, dirRecv, m.collPool))
+	}
+	return st, err
 }

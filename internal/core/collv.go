@@ -32,89 +32,59 @@ func vecTotal(counts, displs []int) (int, error) {
 // Gatherv collects sendCount elements from each rank into root's
 // recvBuf at per-rank element displacements.
 func (c *Comm) Gatherv(sendBuf any, sendCount int, recvBuf any, recvCounts, displs []int, dt Datatype, root int) error {
-	defer c.mpi.beginColl()()
-	sraw, sfree, err := c.mpi.sendStage(sendBuf, 0, sendCount, dt)
-	if err != nil {
-		return err
-	}
-	defer sfree()
+	c.mpi.enterNative()
 	if c.Rank() != root {
-		return c.native.Gatherv(sraw, nil, nil, nil, root)
+		recvBuf, recvCounts, displs = nil, nil, nil
 	}
 	total, err := vecTotal(recvCounts, displs)
 	if err != nil {
 		return err
 	}
-	rraw, finish, rfree, err := c.mpi.recvStage(recvBuf, 0, total, dt)
+	st, err := c.stageColl(sendBuf, sendCount, recvBuf, total, &dt)
 	if err != nil {
 		return err
 	}
-	defer rfree()
 	bc, bd := scaleVec(recvCounts, displs, dt.Size())
-	if err := c.native.Gatherv(sraw, rraw, bc, bd, root); err != nil {
-		return err
-	}
-	return finish()
+	return st.done(c.native.Gatherv(st.send(), st.recv(), bc, bd, root))
 }
 
 // Scatterv distributes per-rank slices of root's sendBuf.
 func (c *Comm) Scatterv(sendBuf any, sendCounts, displs []int, recvBuf any, recvCount int, dt Datatype, root int) error {
-	defer c.mpi.beginColl()()
-	rraw, finish, rfree, err := c.mpi.recvStage(recvBuf, 0, recvCount, dt)
-	if err != nil {
-		return err
-	}
-	defer rfree()
+	c.mpi.enterNative()
 	if c.Rank() != root {
-		if err := c.native.Scatterv(nil, nil, nil, rraw, root); err != nil {
-			return err
-		}
-		return finish()
+		sendBuf, sendCounts, displs = nil, nil, nil
 	}
 	total, err := vecTotal(sendCounts, displs)
 	if err != nil {
 		return err
 	}
-	sraw, sfree, err := c.mpi.sendStage(sendBuf, 0, total, dt)
+	st, err := c.stageScatter(sendBuf, total, recvBuf, recvCount, &dt)
 	if err != nil {
 		return err
 	}
-	defer sfree()
 	bc, bd := scaleVec(sendCounts, displs, dt.Size())
-	if err := c.native.Scatterv(sraw, bc, bd, rraw, root); err != nil {
-		return err
-	}
-	return finish()
+	return st.done(c.native.Scatterv(st.send(), bc, bd, st.recv(), root))
 }
 
 // Allgatherv gathers variable-size contributions to every rank.
 func (c *Comm) Allgatherv(sendBuf any, sendCount int, recvBuf any, recvCounts, displs []int, dt Datatype) error {
-	defer c.mpi.beginColl()()
-	sraw, sfree, err := c.mpi.sendStage(sendBuf, 0, sendCount, dt)
-	if err != nil {
-		return err
-	}
-	defer sfree()
+	c.mpi.enterNative()
 	total, err := vecTotal(recvCounts, displs)
 	if err != nil {
 		return err
 	}
-	rraw, finish, rfree, err := c.mpi.recvStage(recvBuf, 0, total, dt)
+	st, err := c.stageColl(sendBuf, sendCount, recvBuf, total, &dt)
 	if err != nil {
 		return err
 	}
-	defer rfree()
 	bc, bd := scaleVec(recvCounts, displs, dt.Size())
-	if err := c.native.Allgatherv(sraw, rraw, bc, bd); err != nil {
-		return err
-	}
-	return finish()
+	return st.done(c.native.Allgatherv(st.send(), st.recv(), bc, bd))
 }
 
 // Alltoallv exchanges variable-size blocks between all ranks.
 func (c *Comm) Alltoallv(sendBuf any, sendCounts, sendDispls []int,
 	recvBuf any, recvCounts, recvDispls []int, dt Datatype) error {
-	defer c.mpi.beginColl()()
+	c.mpi.enterNative()
 	stotal, err := vecTotal(sendCounts, sendDispls)
 	if err != nil {
 		return err
@@ -123,20 +93,11 @@ func (c *Comm) Alltoallv(sendBuf any, sendCounts, sendDispls []int,
 	if err != nil {
 		return err
 	}
-	sraw, sfree, err := c.mpi.sendStage(sendBuf, 0, stotal, dt)
+	st, err := c.stageColl(sendBuf, stotal, recvBuf, rtotal, &dt)
 	if err != nil {
 		return err
 	}
-	defer sfree()
-	rraw, finish, rfree, err := c.mpi.recvStage(recvBuf, 0, rtotal, dt)
-	if err != nil {
-		return err
-	}
-	defer rfree()
 	sc, sd := scaleVec(sendCounts, sendDispls, dt.Size())
 	rc, rd := scaleVec(recvCounts, recvDispls, dt.Size())
-	if err := c.native.Alltoallv(sraw, sc, sd, rraw, rc, rd); err != nil {
-		return err
-	}
-	return finish()
+	return st.done(c.native.Alltoallv(st.send(), sc, sd, st.recv(), rc, rd))
 }

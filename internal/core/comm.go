@@ -90,12 +90,12 @@ func (c *Comm) SendRange(buf any, offset, count int, dt Datatype, dst, tag int) 
 	if offset != 0 && c.mpi.flavor == OpenMPIJ {
 		return fmt.Errorf("%w: the Open MPI Java API has no offset argument", ErrUnsupported)
 	}
-	var req Request
-	if err := c.isend(&req, buf, offset, count, &dt, dst, tag); err != nil {
+	req, st, err := c.isend(buf, offset, count, &dt, dst, tag)
+	if err != nil || req == nil {
 		return err
 	}
-	_, err := req.waitNoCharge()
-	return err
+	_, err = req.Wait()
+	return st.done(err)
 }
 
 // Recv performs a blocking receive of up to count dt elements into buf.
@@ -108,11 +108,15 @@ func (c *Comm) RecvRange(buf any, offset, count int, dt Datatype, src, tag int) 
 	if offset != 0 && c.mpi.flavor == OpenMPIJ {
 		return Status{}, fmt.Errorf("%w: the Open MPI Java API has no offset argument", ErrUnsupported)
 	}
-	var req Request
-	if err := c.irecv(&req, buf, offset, count, &dt, src, tag); err != nil {
+	req, st, err := c.irecv(buf, offset, count, &dt, src, tag)
+	if err != nil {
 		return Status{}, err
 	}
-	return req.waitNoCharge()
+	if req == nil {
+		return Status{Source: ProcNull, Tag: tag}, nil
+	}
+	nst, err := req.Wait()
+	return fromNative(nst), st.done(err)
 }
 
 // Isend starts a non-blocking send. Under the Open MPI-J flavor, Java
@@ -122,11 +126,11 @@ func (c *Comm) Isend(buf any, count int, dt Datatype, dst, tag int) (*Request, e
 	if _, isArray := buf.(jvm.Array); isArray && c.mpi.flavor == OpenMPIJ {
 		return nil, fmt.Errorf("%w: Open MPI-J does not support Java arrays with non-blocking point-to-point", ErrUnsupported)
 	}
-	req := new(Request)
-	if err := c.isend(req, buf, 0, count, &dt, dst, tag); err != nil {
+	req, st, err := c.isend(buf, 0, count, &dt, dst, tag)
+	if err != nil {
 		return nil, err
 	}
-	return req, nil
+	return &Request{mpi: c.mpi, native: req, st: st.held(), waited: req == nil}, nil
 }
 
 // Irecv starts a non-blocking receive, with the same Open MPI-J array
@@ -135,58 +139,59 @@ func (c *Comm) Irecv(buf any, count int, dt Datatype, src, tag int) (*Request, e
 	if _, isArray := buf.(jvm.Array); isArray && c.mpi.flavor == OpenMPIJ {
 		return nil, fmt.Errorf("%w: Open MPI-J does not support Java arrays with non-blocking point-to-point", ErrUnsupported)
 	}
-	req := new(Request)
-	if err := c.irecv(req, buf, 0, count, &dt, src, tag); err != nil {
+	req, st, err := c.irecv(buf, 0, count, &dt, src, tag)
+	if err != nil {
 		return nil, err
 	}
-	return req, nil
+	r := &Request{mpi: c.mpi, native: req, st: st.held(), waited: req == nil}
+	if req == nil {
+		r.status = Status{Source: ProcNull, Tag: tag}
+	}
+	return r, nil
 }
 
 // isend is the one send path under every point-to-point call: one
-// bindings crossing, stage the buffer as a payload descriptor, hand it
-// to the native library. It fills in the caller's Request — on the
-// stack for the blocking calls, so they allocate nothing — and takes
-// the datatype by pointer (a 112-byte value this path would otherwise
-// copy per layer, per message). A send to ProcNull (MPI_PROC_NULL) is
-// already complete: no crossing, no staging, no communication.
-func (c *Comm) isend(r *Request, buf any, offset, count int, dt *Datatype, dst, tag int) error {
+// bindings crossing, stage the buffer, hand its view to the native
+// library. It returns the native request and the staged buffer by
+// value — the blocking calls complete both from their own stack and
+// allocate nothing — and takes the datatype by pointer (a 112-byte
+// value this path would otherwise copy per layer, per message). A send
+// to ProcNull (MPI_PROC_NULL) is already complete — no crossing, no
+// staging, no communication — and has no native request.
+func (c *Comm) isend(buf any, offset, count int, dt *Datatype, dst, tag int) (*nativempi.Request, staged, error) {
 	if dst == ProcNull {
-		*r = Request{mpi: c.mpi, waited: true}
-		return nil
+		return nil, staged{}, nil
 	}
 	c.mpi.enterNative()
-	pl, free, err := c.mpi.sendPayload(buf, offset, count, dt)
+	st, err := c.mpi.stage(buf, offset, count, dt, dirSend|dirIovec, c.mpi.pool)
 	if err != nil {
-		return err
+		return nil, staged{}, err
 	}
-	req, err := c.native.IsendPayload(pl, dst, tag)
+	req, err := c.native.IsendPayload(st.view, dst, tag)
 	if err != nil {
-		free()
-		return err
+		st.release()
+		return nil, staged{}, err
 	}
-	*r = Request{mpi: c.mpi, native: req, free: free}
-	return nil
+	return req, st, nil
 }
 
 // irecv is isend's receive twin. A receive from ProcNull completes at
 // once as an empty message from ProcNull.
-func (c *Comm) irecv(r *Request, buf any, offset, count int, dt *Datatype, src, tag int) error {
+func (c *Comm) irecv(buf any, offset, count int, dt *Datatype, src, tag int) (*nativempi.Request, staged, error) {
 	if src == ProcNull {
-		*r = Request{mpi: c.mpi, waited: true, status: Status{Source: ProcNull, Tag: tag}}
-		return nil
+		return nil, staged{}, nil
 	}
 	c.mpi.enterNative()
-	pl, finish, free, err := c.mpi.recvPayload(buf, offset, count, dt)
+	st, err := c.mpi.stage(buf, offset, count, dt, dirRecv|dirIovec, c.mpi.pool)
 	if err != nil {
-		return err
+		return nil, staged{}, err
 	}
-	req, err := c.native.IrecvPayload(pl, src, tag)
+	req, err := c.native.IrecvPayload(st.view, src, tag)
 	if err != nil {
-		free()
-		return err
+		st.release()
+		return nil, staged{}, err
 	}
-	*r = Request{mpi: c.mpi, native: req, finish: finish, free: free}
-	return nil
+	return req, st, nil
 }
 
 // Sendrecv exchanges messages without deadlock.
@@ -201,34 +206,19 @@ func (c *Comm) Sendrecv(sendBuf any, sendCount int, sendType Datatype, dst, send
 		return c.RecvRange(recvBuf, 0, recvCount, recvType, src, recvTag)
 	}
 	// One bindings crossing for both legs; both staged before the
-	// receive is posted, then the send, then both waits.
-	c.mpi.enterNative()
-	spl, sfree, err := c.mpi.sendPayload(sendBuf, 0, sendCount, &sendType)
-	if err != nil {
+	// native call validates both legs, posts the receive, then the
+	// send, then waits for both.
+	m := c.mpi
+	m.enterNative()
+	var st staging
+	if err := st.add(m.stage(sendBuf, 0, sendCount, &sendType, dirSend|dirIovec, m.pool)); err != nil {
 		return Status{}, err
 	}
-	defer sfree()
-	rpl, finish, rfree, err := c.mpi.recvPayload(recvBuf, 0, recvCount, &recvType)
-	if err != nil {
+	if err := st.add(m.stage(recvBuf, 0, recvCount, &recvType, dirRecv|dirIovec, m.pool)); err != nil {
 		return Status{}, err
 	}
-	defer rfree()
-	rreq, err := c.native.IrecvPayload(rpl, src, recvTag)
-	if err != nil {
-		return Status{}, err
-	}
-	sreq, err := c.native.IsendPayload(spl, dst, sendTag)
-	if err != nil {
-		return Status{}, err
-	}
-	if _, err := sreq.Wait(); err != nil {
-		return Status{}, err
-	}
-	st, err := rreq.Wait()
-	if err != nil {
-		return fromNative(st), err
-	}
-	return fromNative(st), finish()
+	nst, err := c.native.SendrecvPayload(st.s.view, dst, sendTag, st.r.view, src, recvTag)
+	return fromNative(nst), st.done(err)
 }
 
 // Probe blocks until a matching message can be received and returns
@@ -303,8 +293,10 @@ func (c *Comm) Group() *Group {
 type Request struct {
 	mpi    *MPI
 	native *nativempi.Request
-	finish func() error
-	free   func()
+	// st is the staged buffer still to be unpacked and released; nil
+	// when staging left nothing to do (direct ByteBuffers, empty
+	// messages), which keeps the per-message Request at its bare size.
+	st     *staged
 	waited bool
 	status Status
 	err    error
@@ -331,15 +323,9 @@ func (r *Request) waitNoCharge() (Status, error) {
 		return r.status, r.err
 	}
 	st, err := r.native.Wait()
-	if err == nil && r.finish != nil {
-		err = r.finish()
-	}
-	if r.free != nil {
-		r.free()
-	}
-	r.finish, r.free = nil, nil
+	r.status, r.err = fromNative(st), r.st.done(err)
+	r.st = nil // drop the user buffer and staging references
 	r.waited = true
-	r.status, r.err = fromNative(st), err
 	return r.status, r.err
 }
 

@@ -178,9 +178,6 @@ type MPI struct {
 	// (2.2x/1.62x) being much smaller than its buffer factors
 	// (6.2x/2.76x).
 	collPool *mpjbuf.Pool
-	// collStaging routes array staging to collPool while a collective
-	// call is in flight. Rank-confined, like everything in MPI.
-	collStaging bool
 }
 
 // Run launches the SPMD job: one goroutine per rank, each with its own
@@ -215,13 +212,13 @@ func Run(cfg Config, main func(mpi *MPI) error) error {
 	// world.Run has returned and all trailing ack traffic has drained,
 	// which keeps the aggregates deterministic.
 	mpis := make([]*MPI, topo.Size())
-	err := world.Run(func(p *nativempi.Proc) error {
+	err := world.Run(func(p *nativempi.Proc) error { // per-world closure
 		machine := jvm.NewMachine(p.Clock(), jvm.Options{
 			HeapSize:  cfg.HeapSize,
 			ArenaSize: cfg.ArenaSize,
 			Costs:     cfg.Costs,
 		})
-		machine.SetGCObserver(gcObserver(world, p.Rank()))
+		machine.SetGCObserver(gcObserver(world, p.Rank())) // per-world closure
 		var env *jni.Env
 		if cfg.JNICosts != nil {
 			env = jni.NewWithCosts(machine, *cfg.JNICosts)
@@ -295,22 +292,6 @@ func (m *MPI) Wtime() float64 {
 func (m *MPI) enterNative() {
 	m.machine.Charge(m.flavor.bindingOverhead())
 	m.env.CallNative()
-}
-
-// beginColl marks a collective call in flight: array staging uses the
-// per-call collective pool until the returned func runs.
-func (m *MPI) beginColl() func() {
-	m.enterNative()
-	m.collStaging = true
-	return func() { m.collStaging = false }
-}
-
-// stagePool picks the staging pool for the current call.
-func (m *MPI) stagePool() *mpjbuf.Pool {
-	if m.collStaging {
-		return m.collPool
-	}
-	return m.pool
 }
 
 // checkCount validates an element count against a buffer capacity.

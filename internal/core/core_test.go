@@ -402,6 +402,25 @@ func TestSendrecvBindings(t *testing.T) {
 		out := m.JVM().MustArray(jvm.Long, 16)
 		in := m.JVM().MustArray(jvm.Long, 16)
 		fillArray(out, int64(c.Rank()*100))
+		if c.Rank() == 0 {
+			// A bad leg is rejected before the receive is posted: nothing
+			// stays staged, and the corrected call below still gets the
+			// peer's message (an orphaned receive would swallow it).
+			orphan := m.JVM().MustArray(jvm.Long, 16)
+			for _, bad := range [][4]int{{7, 1, other, 1}, {other, -3, other, 1}, {other, 1, 7, 1}, {other, 1, other, -5}} {
+				if _, err := c.Sendrecv(out, 16, LONG, bad[0], bad[1], orphan, 16, LONG, bad[2], bad[3]); err == nil {
+					return fmt.Errorf("Sendrecv(dst=%d, sendTag=%d, src=%d, recvTag=%d) succeeded", bad[0], bad[1], bad[2], bad[3])
+				}
+				if ps := m.Pool().Stats(); ps.InUseBytes != 0 || ps.Gets != ps.Frees {
+					return fmt.Errorf("after a rejected Sendrecv the pool holds %d bytes (%d gets, %d frees)", ps.InUseBytes, ps.Gets, ps.Frees)
+				}
+			}
+			defer func() {
+				if orphan.Int(0) != 0 {
+					t.Error("a rejected Sendrecv's buffer received the peer's message")
+				}
+			}()
+		}
 		st, err := c.Sendrecv(out, 16, LONG, other, 1, in, 16, LONG, other, 1)
 		if err != nil {
 			return err

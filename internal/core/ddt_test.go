@@ -728,7 +728,7 @@ func checkTypedPackEquivalence(t *testing.T, seed int64) {
 		if err != nil {
 			return err
 		}
-		if err := packInto(stage, src, offset, count, dt); err != nil {
+		if err := packInto(stage, src, offset, count, &dt); err != nil {
 			return err
 		}
 		if err := stage.Commit(); err != nil {
@@ -742,7 +742,7 @@ func checkTypedPackEquivalence(t *testing.T, seed int64) {
 		if err := land.SetIncoming(nbytes); err != nil {
 			return err
 		}
-		if err := unpackFrom(land, dstTyped, offset, count, dt); err != nil {
+		if err := unpackFrom(land, dstTyped, offset, count, &dt); err != nil {
 			return err
 		}
 		stage.Free()

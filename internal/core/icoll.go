@@ -23,10 +23,31 @@ import (
 type CollRequest struct {
 	mpi    *MPI
 	native *nativempi.CollRequest
-	finish func() error
-	free   func()
+	st     *staging // nil when neither side left anything to finish or release
 	waited bool
 	err    error
+}
+
+// pending wraps a started native collective, or releases the staging if
+// it failed to start.
+func (st *staging) pending(m *MPI, req *nativempi.CollRequest, err error) (*CollRequest, error) {
+	if err != nil {
+		st.release()
+		return nil, err
+	}
+	return &CollRequest{mpi: m, native: req, st: st.held()}, nil
+}
+
+// complete finishes the request without charging a bindings call — the
+// one completion body under Wait, Test and WaitallColl: native wait,
+// unpack staged receives, release staging, exactly once.
+func (r *CollRequest) complete() error {
+	if !r.waited {
+		r.err = r.st.done(r.native.Wait())
+		r.st = nil
+		r.waited = true
+	}
+	return r.err
 }
 
 // Wait blocks until the collective completes, then unpacks staged
@@ -35,21 +56,10 @@ func (r *CollRequest) Wait() error {
 	if r == nil {
 		return nativempi.ErrRequest
 	}
-	if r.waited {
-		return r.err
+	if !r.waited {
+		r.mpi.enterNative()
 	}
-	r.mpi.enterNative()
-	err := r.native.Wait()
-	if err == nil && r.finish != nil {
-		err = r.finish()
-	}
-	if r.free != nil {
-		r.free()
-	}
-	r.finish, r.free = nil, nil
-	r.waited = true
-	r.err = err
-	return err
+	return r.complete()
 }
 
 // Test progresses the schedule without blocking.
@@ -61,22 +71,10 @@ func (r *CollRequest) Test() (bool, error) {
 		return true, r.err
 	}
 	r.mpi.enterNative()
-	done, _ := r.native.Test()
-	if !done {
+	if done, _ := r.native.Test(); !done {
 		return false, nil
 	}
-	// Completed: run the Wait path without re-charging the call.
-	err := r.native.Wait()
-	if err == nil && r.finish != nil {
-		err = r.finish()
-	}
-	if r.free != nil {
-		r.free()
-	}
-	r.finish, r.free = nil, nil
-	r.waited = true
-	r.err = err
-	return true, err
+	return true, r.complete()
 }
 
 // checkNBBuf enforces the Open MPI-J array restriction on the
@@ -98,30 +96,15 @@ func (c *Comm) Ibcast(buf any, count int, dt Datatype, root int) (*CollRequest, 
 	if err := c.checkNBBuf(buf); err != nil {
 		return nil, err
 	}
-	done := c.mpi.beginColl()
-	defer done()
-	if c.Rank() == root {
-		raw, free, err := c.mpi.sendStage(buf, 0, count, dt)
-		if err != nil {
-			return nil, err
-		}
-		req, err := c.native.Ibcast(raw, root)
-		if err != nil {
-			free()
-			return nil, err
-		}
-		return &CollRequest{mpi: c.mpi, native: req, free: free}, nil
-	}
-	raw, finish, free, err := c.mpi.recvStage(buf, 0, count, dt)
+	c.mpi.enterNative()
+	d, err := c.mpi.stage(buf, 0, count, &dt, c.bcastDir(root), c.mpi.collPool)
 	if err != nil {
 		return nil, err
 	}
-	req, err := c.native.Ibcast(raw, root)
-	if err != nil {
-		free()
-		return nil, err
-	}
-	return &CollRequest{mpi: c.mpi, native: req, finish: finish, free: free}, nil
+	var st staging
+	st.add(d, nil)
+	req, err := c.native.Ibcast(d.bytes(), root)
+	return st.pending(c.mpi, req, err)
 }
 
 // Iallreduce starts a non-blocking allreduce.
@@ -129,24 +112,13 @@ func (c *Comm) Iallreduce(sendBuf, recvBuf any, count int, dt Datatype, op Op) (
 	if err := c.checkNBBuf(sendBuf, recvBuf); err != nil {
 		return nil, err
 	}
-	done := c.mpi.beginColl()
-	defer done()
-	sraw, sfree, err := c.mpi.sendStage(sendBuf, 0, count, dt)
+	c.mpi.enterNative()
+	st, err := c.stageColl(sendBuf, count, recvBuf, count, &dt)
 	if err != nil {
 		return nil, err
 	}
-	rraw, finish, rfree, err := c.mpi.recvStage(recvBuf, 0, count, dt)
-	if err != nil {
-		sfree()
-		return nil, err
-	}
-	req, err := c.native.Iallreduce(sraw, rraw, dt.Kind(), op)
-	if err != nil {
-		sfree()
-		rfree()
-		return nil, err
-	}
-	return &CollRequest{mpi: c.mpi, native: req, finish: finish, free: func() { sfree(); rfree() }}, nil
+	req, err := c.native.Iallreduce(st.send(), st.recv(), dt.Kind(), op)
+	return st.pending(c.mpi, req, err)
 }
 
 // Ireduce starts a non-blocking reduce toward root.
@@ -154,29 +126,17 @@ func (c *Comm) Ireduce(sendBuf, recvBuf any, count int, dt Datatype, op Op, root
 	if err := c.checkNBBuf(sendBuf, recvBuf); err != nil {
 		return nil, err
 	}
-	done := c.mpi.beginColl()
-	defer done()
-	sraw, sfree, err := c.mpi.sendStage(sendBuf, 0, count, dt)
+	c.mpi.enterNative()
+	rcount := count
+	if c.Rank() != root {
+		recvBuf, rcount = nil, 0
+	}
+	st, err := c.stageColl(sendBuf, count, recvBuf, rcount, &dt)
 	if err != nil {
 		return nil, err
 	}
-	var rraw []byte
-	finish := func() error { return nil }
-	rfree := func() {}
-	if c.Rank() == root {
-		rraw, finish, rfree, err = c.mpi.recvStage(recvBuf, 0, count, dt)
-		if err != nil {
-			sfree()
-			return nil, err
-		}
-	}
-	req, err := c.native.Ireduce(sraw, rraw, dt.Kind(), op, root)
-	if err != nil {
-		sfree()
-		rfree()
-		return nil, err
-	}
-	return &CollRequest{mpi: c.mpi, native: req, finish: finish, free: func() { sfree(); rfree() }}, nil
+	req, err := c.native.Ireduce(st.send(), st.recv(), dt.Kind(), op, root)
+	return st.pending(c.mpi, req, err)
 }
 
 // Iallgather starts a non-blocking allgather.
@@ -184,33 +144,21 @@ func (c *Comm) Iallgather(sendBuf any, sendCount int, recvBuf any, recvCount int
 	if err := c.checkNBBuf(sendBuf, recvBuf); err != nil {
 		return nil, err
 	}
-	done := c.mpi.beginColl()
-	defer done()
+	c.mpi.enterNative()
 	if sendCount != recvCount {
 		return nil, fmt.Errorf("%w: iallgather send count %d != recv count %d", ErrCount, sendCount, recvCount)
 	}
-	sraw, sfree, err := c.mpi.sendStage(sendBuf, 0, sendCount, dt)
+	st, err := c.stageColl(sendBuf, sendCount, recvBuf, recvCount*c.Size(), &dt)
 	if err != nil {
 		return nil, err
 	}
-	rraw, finish, rfree, err := c.mpi.recvStage(recvBuf, 0, recvCount*c.Size(), dt)
-	if err != nil {
-		sfree()
-		return nil, err
-	}
-	req, err := c.native.Iallgather(sraw, rraw)
-	if err != nil {
-		sfree()
-		rfree()
-		return nil, err
-	}
-	return &CollRequest{mpi: c.mpi, native: req, finish: finish, free: func() { sfree(); rfree() }}, nil
+	req, err := c.native.Iallgather(st.send(), st.recv())
+	return st.pending(c.mpi, req, err)
 }
 
 // Ibarrier starts a non-blocking barrier.
 func (c *Comm) Ibarrier() (*CollRequest, error) {
-	done := c.mpi.beginColl()
-	defer done()
+	c.mpi.enterNative()
 	req, err := c.native.Ibarrier()
 	if err != nil {
 		return nil, err
@@ -231,22 +179,7 @@ func WaitallColl(reqs []*CollRequest) error {
 			r.mpi.enterNative()
 			charged = true
 		}
-		var err error
-		if r.waited {
-			err = r.err
-		} else {
-			err = r.native.Wait()
-			if err == nil && r.finish != nil {
-				err = r.finish()
-			}
-			if r.free != nil {
-				r.free()
-			}
-			r.finish, r.free = nil, nil
-			r.waited = true
-			r.err = err
-		}
-		if err != nil && first == nil {
+		if err := r.complete(); err != nil && first == nil {
 			first = err
 		}
 	}

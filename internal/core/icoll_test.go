@@ -142,8 +142,23 @@ func TestWaitallCollBindings(t *testing.T) {
 			reqs = append(reqs, req)
 		}
 		reqs = append(reqs, nil) // nil entries are skipped
+		// One request is completed early by Test-then-Wait; WaitallColl
+		// must take it as already complete (same shared completion body).
+		for done := false; !done; {
+			var err error
+			if done, err = reqs[3].Test(); err != nil {
+				return err
+			}
+		}
+		if err := reqs[3].Wait(); err != nil {
+			return err
+		}
+		frees := m.collPool.Stats().Frees
 		if err := WaitallColl(reqs); err != nil {
 			return err
+		}
+		if got := m.collPool.Stats().Frees - frees; got != 3 {
+			return fmt.Errorf("WaitallColl released %d stagings, want 3 (one was already complete)", got)
 		}
 		for k := 0; k < 4; k++ {
 			if err := checkArray(bufs[k], int64(k*100)); err != nil {
@@ -191,9 +206,48 @@ func TestCollRequestTestBindings(t *testing.T) {
 				return err
 			}
 			if done {
-				return nil
+				break
 			}
 		}
+		// Test, Wait and WaitallColl share one completion body: a staged
+		// array request completed by Test is unpacked and released exactly
+		// once, whatever is called on it afterwards.
+		arr := m.JVM().MustArray(jvm.Int, 16)
+		if c.Rank() == 0 {
+			fillArray(arr, 300)
+		}
+		before := m.collPool.Stats()
+		req, err = c.Ibcast(arr, 16, INT, 0)
+		if err != nil {
+			return err
+		}
+		for done := false; !done; {
+			if done, err = req.Test(); err != nil {
+				return err
+			}
+		}
+		if err := checkArray(arr, 300); err != nil {
+			return err
+		}
+		arr.SetInt(0, -1) // a second unpack would restore 300
+		if err := req.Wait(); err != nil {
+			return err
+		}
+		if err := WaitallColl([]*CollRequest{req}); err != nil {
+			return err
+		}
+		if done, err := req.Test(); !done || err != nil {
+			return fmt.Errorf("Test on a completed request: %v, %v", done, err)
+		}
+		after := m.collPool.Stats()
+		if arr.Int(0) != -1 {
+			return fmt.Errorf("completed request unpacked again: arr[0] = %d", arr.Int(0))
+		}
+		if after.Gets-before.Gets != 1 || after.Frees-before.Frees != 1 || after.InUseBytes != 0 {
+			return fmt.Errorf("staging released %d times for %d gets (%d bytes in use)",
+				after.Frees-before.Frees, after.Gets-before.Gets, after.InUseBytes)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

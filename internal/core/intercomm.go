@@ -39,27 +39,22 @@ func (ic *InterComm) RemoteSize() int { return ic.native.RemoteSize() }
 // Send transmits count dt elements to a remote-group rank.
 func (ic *InterComm) Send(buf any, count int, dt Datatype, remoteRank, tag int) error {
 	ic.mpi.enterNative()
-	raw, free, err := ic.mpi.sendStage(buf, 0, count, dt)
+	st, err := ic.mpi.stage(buf, 0, count, &dt, dirSend, ic.mpi.pool)
 	if err != nil {
 		return err
 	}
-	defer free()
-	return ic.native.Send(raw, remoteRank, tag)
+	return st.done(ic.native.Send(st.bytes(), remoteRank, tag))
 }
 
 // Recv receives count dt elements from a remote-group rank.
 func (ic *InterComm) Recv(buf any, count int, dt Datatype, remoteRank, tag int) (Status, error) {
 	ic.mpi.enterNative()
-	raw, finish, free, err := ic.mpi.recvStage(buf, 0, count, dt)
+	st, err := ic.mpi.stage(buf, 0, count, &dt, dirRecv, ic.mpi.pool)
 	if err != nil {
 		return Status{}, err
 	}
-	defer free()
-	st, err := ic.native.Recv(raw, remoteRank, tag)
-	if err != nil {
-		return fromNative(st), err
-	}
-	return fromNative(st), finish()
+	nst, err := ic.native.Recv(st.bytes(), remoteRank, tag)
+	return fromNative(nst), st.done(err)
 }
 
 // Merge converts the intercommunicator into an ordinary communicator

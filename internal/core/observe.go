@@ -10,11 +10,11 @@ import (
 
 // Observability glue for the bindings layer. Three responsibilities:
 //
-//   - copy-in/copy-out spans: sendStage and recvStage-finish are the
-//     two staging copies of the array path (paper Fig. 3); bracketing
-//     them in virtual time lets a transfer's end-to-end latency be
-//     split into copy-in / wire / copy-out / ack / retransmit phases
-//     (trace.PhasesByRank);
+//   - copy-in/copy-out spans: a send's stage and a receive's
+//     staged.finish (buf.go) are the two staging copies of the array
+//     path (paper Fig. 3); bracketing them in virtual time lets a
+//     transfer's end-to-end latency be split into copy-in / wire /
+//     copy-out / ack / retransmit phases (trace.PhasesByRank);
 //   - GC spans: the simulated JVM reports each stop-the-world pause;
 //   - the post-run scrape: per-rank counters from every layer (native
 //     runtime, buffer pools, JVM, JNI) flow into the metrics registry
@@ -51,39 +51,10 @@ func (m *MPI) recordCopy(kind trace.Kind, bytes int, start vtime.Time) {
 	met.Observe(m.proc.Rank(), "copy", label+"_bytes", int64(bytes))
 }
 
-// sendStage wraps the staging implementation with a copy-in span.
-func (m *MPI) sendStage(buf any, offset, count int, dt Datatype) ([]byte, func(), error) {
-	start := m.proc.Clock().Now()
-	raw, free, err := m.sendStageImpl(buf, offset, count, dt)
-	if err == nil {
-		m.recordCopy(trace.KindCopyIn, len(raw), start)
-	}
-	return raw, free, err
-}
-
-// recvStage wraps the staging implementation so the finish (unpack)
-// callback emits a copy-out span.
-func (m *MPI) recvStage(buf any, offset, count int, dt Datatype) ([]byte, func() error, func(), error) {
-	raw, finish, free, err := m.recvStageImpl(buf, offset, count, dt)
-	if err != nil {
-		return raw, finish, free, err
-	}
-	inner := finish
-	wrapped := func() error {
-		start := m.proc.Clock().Now()
-		if err := inner(); err != nil {
-			return err
-		}
-		m.recordCopy(trace.KindCopyOut, len(raw), start)
-		return nil
-	}
-	return raw, wrapped, free, nil
-}
-
 // gcObserver builds the per-rank callback the simulated JVM invokes
 // after each collection.
 func gcObserver(w *nativempi.World, rank int) func(live int, start, end vtime.Time) {
-	return func(live int, start, end vtime.Time) {
+	return func(live int, start, end vtime.Time) { // per-world closure
 		if rec := w.Recorder(); rec != nil {
 			rec.Record(trace.Event{
 				Rank: rank, Kind: trace.KindGC, Detail: "stw-compact", Peer: -1,

@@ -28,7 +28,7 @@ func (m *MPI) Pack(buf any, offset, count int, dt Datatype, dest *jvm.ByteBuffer
 		if b.Kind() != dt.Kind() {
 			return fmt.Errorf("%w: %v array with %v datatype", ErrBufferType, b.Kind(), dt)
 		}
-		if err := checkCount(arrayNeed(offset, count, dt), b.Len(), "pack"); err != nil {
+		if err := checkCount(arrayNeed(offset, count, &dt), b.Len(), "pack"); err != nil {
 			return err
 		}
 		if dt.contiguous() {
@@ -77,7 +77,7 @@ func (m *MPI) Unpack(src *jvm.ByteBuffer, buf any, offset, count int, dt Datatyp
 		if b.Kind() != dt.Kind() {
 			return fmt.Errorf("%w: %v array with %v datatype", ErrBufferType, b.Kind(), dt)
 		}
-		if err := checkCount(arrayNeed(offset, count, dt), b.Len(), "unpack"); err != nil {
+		if err := checkCount(arrayNeed(offset, count, &dt), b.Len(), "unpack"); err != nil {
 			return err
 		}
 		if dt.contiguous() {

@@ -23,7 +23,7 @@ type Win struct {
 // WinCreate exposes the direct buffer's [position, limit) region as an
 // RMA window. Collective over the communicator.
 func (c *Comm) WinCreate(buf *jvm.ByteBuffer) (*Win, error) {
-	defer c.mpi.beginColl()()
+	c.mpi.enterNative()
 	var region []byte
 	if buf != nil {
 		if !buf.IsDirect() {
@@ -42,34 +42,27 @@ func (c *Comm) WinCreate(buf *jvm.ByteBuffer) (*Win, error) {
 // Buffer returns the backing buffer.
 func (w *Win) Buffer() *jvm.ByteBuffer { return w.buf }
 
-// stageOrigin resolves an origin buffer for Put/Get/Accumulate. Origin
-// buffers may be arrays (they are copied/staged per operation, like
-// sends); only the WINDOW memory must be direct.
-func (w *Win) stageOrigin(buf any, count int, dt Datatype) ([]byte, func(), error) {
-	return w.mpi.sendStage(buf, 0, count, dt)
-}
-
 // Put transfers count dt elements from origin into the target's
 // window at element offset targetOff. Completes at the next Fence.
+// Origin buffers may be arrays (they are copied/staged per operation,
+// like sends); only the WINDOW memory must be direct.
 func (w *Win) Put(origin any, count int, dt Datatype, target, targetOff int) error {
 	w.mpi.enterNative()
-	raw, free, err := w.stageOrigin(origin, count, dt)
+	st, err := w.mpi.stage(origin, 0, count, &dt, dirSend, w.mpi.pool)
 	if err != nil {
 		return err
 	}
-	defer free()
-	return w.native.Put(raw, target, targetOff*dt.Size())
+	return st.done(w.native.Put(st.bytes(), target, targetOff*dt.Size()))
 }
 
 // Accumulate combines count dt elements into the target's window.
 func (w *Win) Accumulate(origin any, count int, dt Datatype, op Op, target, targetOff int) error {
 	w.mpi.enterNative()
-	raw, free, err := w.stageOrigin(origin, count, dt)
+	st, err := w.mpi.stage(origin, 0, count, &dt, dirSend, w.mpi.pool)
 	if err != nil {
 		return err
 	}
-	defer free()
-	return w.native.Accumulate(raw, target, targetOff*dt.Size(), dt.Kind(), op)
+	return st.done(w.native.Accumulate(st.bytes(), target, targetOff*dt.Size(), dt.Kind(), op))
 }
 
 // Get fetches count dt elements from the target's window into origin.
@@ -95,7 +88,7 @@ func (w *Win) Get(origin any, count int, dt Datatype, target, targetOff int) err
 
 // Fence closes the access/exposure epoch (MPI_Win_fence).
 func (w *Win) Fence() error {
-	defer w.mpi.beginColl()()
+	w.mpi.enterNative()
 	return w.native.Fence()
 }
 
@@ -105,6 +98,6 @@ func (w *Win) Free() error {
 		return fmt.Errorf("core: window already freed")
 	}
 	w.freed = true
-	defer w.mpi.beginColl()()
+	w.mpi.enterNative()
 	return w.native.Free()
 }

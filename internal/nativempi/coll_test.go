@@ -8,6 +8,8 @@ import (
 	"mv2j/internal/cluster"
 	"mv2j/internal/fabric"
 	"mv2j/internal/jvm"
+	"mv2j/internal/metrics"
+	"mv2j/internal/trace"
 	"mv2j/internal/vtime"
 )
 
@@ -364,6 +366,32 @@ func TestBarrierSynchronises(t *testing.T) {
 
 func TestVectorCollectives(t *testing.T) {
 	w := testWorld(2, 2)
+	rec := trace.New(0)
+	met := metrics.NewRegistry()
+	w.SetRecorder(rec)
+	w.SetMetrics(met)
+	defer func() {
+		// Every vectored call is one coll span per rank (and one pass
+		// through the thread gate). Allgatherv's inner Gatherv and Bcast
+		// are calls of their own, like Allgather's.
+		calls := map[string]int{"gatherv": 2, "scatterv": 1, "allgatherv": 1, "alltoallv": 1}
+		spans := map[string]int{}
+		for _, ev := range rec.Events() {
+			if ev.Kind == trace.KindColl {
+				spans[ev.Detail]++
+			}
+		}
+		for name, n := range calls {
+			if spans[name] != n*w.Size() {
+				t.Errorf("%d coll/%s trace events, want %d per rank", spans[name], name, n)
+			}
+			for r := 0; r < w.Size(); r++ {
+				if h := met.HistogramSnapshot(r, "coll", name+"_bytes"); h.Count != int64(n) {
+					t.Errorf("rank %d: coll/%s_bytes has %d samples, want %d", r, name, h.Count, n)
+				}
+			}
+		}
+	}()
 	err := w.Run(func(pr *Proc) error {
 		c := pr.CommWorld()
 		p := c.Size()

@@ -26,6 +26,7 @@ func (c *Comm) Gatherv(sendBuf, recvBuf []byte, counts, displs []int, root int) 
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
+	defer c.collSpan("gatherv", len(sendBuf))()
 	p := c.Size()
 	tag := c.collTag()
 	if c.myRank != root {
@@ -54,6 +55,7 @@ func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, ro
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
+	defer c.collSpan("scatterv", len(recvBuf))()
 	p := c.Size()
 	tag := c.collTag()
 	if c.myRank != root {
@@ -80,6 +82,7 @@ func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, ro
 // Allgatherv gathers variable-size blocks to every rank: a Gatherv to
 // rank 0 followed by a broadcast of the filled region.
 func (c *Comm) Allgatherv(sendBuf, recvBuf []byte, counts, displs []int) error {
+	defer c.collSpan("allgatherv", len(sendBuf))()
 	p := c.Size()
 	if err := checkVector(recvBuf, counts, displs, p); err != nil {
 		return err
@@ -100,6 +103,7 @@ func (c *Comm) Allgatherv(sendBuf, recvBuf []byte, counts, displs []int) error {
 // Alltoallv exchanges variable-size blocks between all ranks.
 func (c *Comm) Alltoallv(sendBuf []byte, sendCounts, sendDispls []int,
 	recvBuf []byte, recvCounts, recvDispls []int) error {
+	defer c.collSpan("alltoallv", len(sendBuf))()
 	p := c.Size()
 	if err := checkVector(sendBuf, sendCounts, sendDispls, p); err != nil {
 		return err

@@ -81,6 +81,11 @@ func Contig(b []byte) Payload { return Payload{b: b} }
 // until the operation completes, exactly like a contiguous buffer.
 func Strided(v *IOVec) Payload { return Payload{iov: v} }
 
+// Bytes is the contiguous view the []byte-taking native calls
+// (collectives, RMA, intercommunicators) consume; nil for a strided
+// payload, which only the point-to-point Payload entries accept.
+func (pl Payload) Bytes() []byte { return pl.b }
+
 // size is the payload byte count (holes excluded).
 func (pl Payload) size() int {
 	if pl.iov != nil {

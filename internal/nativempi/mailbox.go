@@ -18,7 +18,6 @@ import "sync"
 // traffic allocates nothing.
 type mailbox struct {
 	mu   sync.Mutex
-	cond *sync.Cond
 	tail []*packet // producer side, guarded by mu
 
 	// Consumer-private state: only the owning rank touches these.
@@ -35,22 +34,17 @@ type mailbox struct {
 // so they are deliberately kept out of the deterministic metrics
 // registry and the trace artifacts. The hostbench harness reports them.
 type MailboxStats struct {
-	Pushes      int64 `json:"pushes"`       // packets enqueued
-	PushBatches int64 `json:"push_batches"` // multi-packet producer batches (pushBatch calls)
-	MaxPush     int64 `json:"max_push"`     // largest single producer batch
-	Swaps       int64 `json:"swaps"`        // head/tail swaps (lock acquisitions that found work)
-	Batched     int64 `json:"batched"`      // packets obtained via swaps (== Pushes at drain)
-	MaxBatch    int64 `json:"max_batch"`    // largest single swap
-	MaxTail     int64 `json:"max_tail"`     // peak producer-side backlog (saturation indicator)
+	Pushes   int64 `json:"pushes"`    // packets enqueued
+	Swaps    int64 `json:"swaps"`     // head/tail swaps (lock acquisitions that found work)
+	Batched  int64 `json:"batched"`   // packets obtained via swaps (== Pushes at drain)
+	MaxBatch int64 `json:"max_batch"` // largest single swap
+	MaxTail  int64 `json:"max_tail"`  // peak producer-side backlog (saturation indicator)
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
+func newMailbox() *mailbox { return &mailbox{} }
 
-// push enqueues p and wakes the owner if it is blocked in pop.
+// push enqueues p. The owner is never blocked on the mailbox itself:
+// a rank with nothing to do parks in the phase engine, which wakes it.
 func (m *mailbox) push(p *packet) {
 	m.mu.Lock()
 	m.tail = append(m.tail, p)
@@ -59,34 +53,6 @@ func (m *mailbox) push(p *packet) {
 		m.stats.MaxTail = n
 	}
 	m.mu.Unlock()
-	m.cond.Signal()
-}
-
-// pushBatch enqueues a burst of packets in FIFO order under a single
-// lock acquisition (and a single wakeup) — the producer-side analogue
-// of the consumer's head/tail swap. A reliability-layer retransmission
-// schedule, for example, materialises every copy of a message at once;
-// delivering them one push at a time would pay one lock round trip per
-// copy for packets that are all bound for the same mailbox anyway.
-func (m *mailbox) pushBatch(pkts []*packet) {
-	if len(pkts) == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.tail = append(m.tail, pkts...)
-	n := int64(len(pkts))
-	m.stats.Pushes += n
-	if n > 1 {
-		m.stats.PushBatches++
-		if n > m.stats.MaxPush {
-			m.stats.MaxPush = n
-		}
-	}
-	if t := int64(len(m.tail)); t > m.stats.MaxTail {
-		m.stats.MaxTail = t
-	}
-	m.mu.Unlock()
-	m.cond.Signal()
 }
 
 // takeHead pops the next packet from the consumer-private head list.
@@ -144,20 +110,6 @@ func (m *mailbox) empty() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.tail) == 0
-}
-
-// pop dequeues the oldest packet, blocking until one is available.
-func (m *mailbox) pop() *packet {
-	if m.headIdx < len(m.head) {
-		return m.takeHead()
-	}
-	m.mu.Lock()
-	for len(m.tail) == 0 {
-		m.cond.Wait()
-	}
-	m.swapLocked()
-	m.mu.Unlock()
-	return m.takeHead()
 }
 
 // Stats snapshots the host-side counters. Only meaningful from the

@@ -1,6 +1,7 @@
 package nativempi
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -40,74 +41,12 @@ func TestMailboxMaxTailSaturation(t *testing.T) {
 	}
 }
 
-// TestMailboxPushBatchSaturation covers the batch producer path: batch
-// counters, per-batch peaks, and MaxTail across accumulating batches
-// with a consumer that never drains.
-func TestMailboxPushBatchSaturation(t *testing.T) {
-	m := newMailbox()
-	mkBatch := func(n int) []*packet {
-		b := make([]*packet, n)
-		for i := range b {
-			b[i] = &packet{kind: pktEager}
-		}
-		return b
-	}
-	m.pushBatch(nil)        // no-op
-	m.pushBatch(mkBatch(1)) // single packet: counts as push, not batch
-	m.pushBatch(mkBatch(8))
-	m.pushBatch(mkBatch(3))
-	st := m.Stats()
-	if st.Pushes != 12 {
-		t.Errorf("Pushes = %d, want 12", st.Pushes)
-	}
-	if st.PushBatches != 2 {
-		t.Errorf("PushBatches = %d, want 2 (singletons excluded)", st.PushBatches)
-	}
-	if st.MaxPush != 8 {
-		t.Errorf("MaxPush = %d, want 8", st.MaxPush)
-	}
-	if st.MaxTail != 12 {
-		t.Errorf("MaxTail = %d, want 12 (undrained accumulation)", st.MaxTail)
-	}
-}
-
-// TestMailboxPushBatchFIFO asserts batch contents interleave in strict
-// arrival order with single pushes.
-func TestMailboxPushBatchFIFO(t *testing.T) {
-	m := newMailbox()
-	var want []*packet
-	add := func(pkts ...*packet) {
-		want = append(want, pkts...)
-	}
-	p1 := &packet{tag: 1}
-	m.push(p1)
-	add(p1)
-	batch := []*packet{{tag: 2}, {tag: 3}, {tag: 4}}
-	m.pushBatch(batch)
-	add(batch...)
-	p5 := &packet{tag: 5}
-	m.push(p5)
-	add(p5)
-	for i, w := range want {
-		got, ok := m.tryPop()
-		if !ok {
-			t.Fatalf("pop %d: mailbox empty", i)
-		}
-		if got != w {
-			t.Fatalf("pop %d: got tag %d, want tag %d", i, got.tag, w.tag)
-		}
-	}
-	if _, ok := m.tryPop(); ok {
-		t.Error("mailbox not empty after draining expected packets")
-	}
-}
-
 // TestMailboxSaturationRace is the -race stress leg: many producers
-// flooding (push and pushBatch) against one consumer that drains only
+// flooding in bursts against one consumer that drains only
 // intermittently, leaving a persistent backlog. Run with -race this
-// exercises the mu/cond protocol and the stats updates under real
-// contention; the final packet count and the MaxTail lower bound are
-// asserted either way.
+// exercises the tail lock, the head/tail swap and the stats updates
+// under real contention; the final packet count and the MaxTail lower
+// bound are asserted either way.
 func TestMailboxSaturationRace(t *testing.T) {
 	const (
 		producers = 8
@@ -121,17 +60,12 @@ func TestMailboxSaturationRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProd/batchLen; i++ {
-				if i%2 == 0 {
-					b := make([]*packet, batchLen)
-					for j := range b {
-						b[j] = &packet{kind: pktEager}
-					}
-					m.pushBatch(b)
-				} else {
-					for j := 0; j < batchLen; j++ {
-						m.push(&packet{kind: pktEager})
-					}
+				// A burst, then a breather: the flooding shape a
+				// retransmission schedule or an incast produces.
+				for j := 0; j < batchLen; j++ {
+					m.push(&packet{kind: pktEager})
 				}
+				runtime.Gosched()
 			}
 		}()
 	}
@@ -156,7 +90,7 @@ func TestMailboxSaturationRace(t *testing.T) {
 	if drained != producers*perProd {
 		t.Errorf("drained %d packets, want %d", drained, producers*perProd)
 	}
-	if st.MaxTail < int64(batchLen) {
-		t.Errorf("MaxTail = %d, want at least one full batch (%d)", st.MaxTail, batchLen)
+	if st.MaxTail < 1 || st.MaxTail > producers*perProd {
+		t.Errorf("MaxTail = %d, want within [1,%d]", st.MaxTail, producers*perProd)
 	}
 }

@@ -1,31 +1,32 @@
 package nativempi
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
 
 // TestMailboxFIFO: packets come out in the order they went in, across
-// both the single-push and the batch producer paths.
+// a swap boundary (pushes landing after the consumer started draining).
 func TestMailboxFIFO(t *testing.T) {
 	m := newMailbox()
 	var want []*packet
-	for i := 0; i < 5; i++ {
-		p := &packet{relSeq: uint64(i)}
-		want = append(want, p)
-		m.push(p)
+	pushN := func(n int) {
+		for i := 0; i < n; i++ {
+			p := &packet{relSeq: uint64(len(want))}
+			want = append(want, p)
+			m.push(p)
+		}
 	}
-	batch := make([]*packet, 4)
-	for i := range batch {
-		batch[i] = &packet{relSeq: uint64(5 + i)}
+	pushN(5)
+	if got, ok := m.tryPop(); !ok || got != want[0] {
+		t.Fatalf("pop 0: got %v ok=%v, want %v", got, ok, want[0])
 	}
-	want = append(want, batch...)
-	m.pushBatch(batch)
-
-	for i, w := range want {
+	pushN(4) // lands in the tail while the head still holds four
+	for i, w := range want[1:] {
 		got, ok := m.tryPop()
 		if !ok || got != w {
-			t.Fatalf("pop %d: got %v ok=%v, want %v", i, got, ok, w)
+			t.Fatalf("pop %d: got %v ok=%v, want %v", i+1, got, ok, w)
 		}
 	}
 	if _, ok := m.tryPop(); ok {
@@ -34,19 +35,17 @@ func TestMailboxFIFO(t *testing.T) {
 }
 
 // TestMailboxSwapStats: a burst drained after the fact costs the
-// consumer one swap, and the producer batch counters see pushBatch.
+// consumer one swap.
 func TestMailboxSwapStats(t *testing.T) {
 	m := newMailbox()
-	batch := make([]*packet, 5)
-	for i := range batch {
-		batch[i] = &packet{relSeq: uint64(i)}
+	for i := 0; i < 5; i++ {
+		m.push(&packet{relSeq: uint64(i)})
 	}
-	m.pushBatch(batch)
-	for range batch {
-		m.pop()
+	for i := 0; i < 5; i++ {
+		m.tryPop()
 	}
 	st := m.Stats()
-	if st.Pushes != 5 || st.PushBatches != 1 || st.MaxPush != 5 {
+	if st.Pushes != 5 || st.MaxTail != 5 {
 		t.Errorf("producer stats: %+v", st)
 	}
 	if st.Swaps != 1 || st.Batched != 5 || st.MaxBatch != 5 {
@@ -62,10 +61,10 @@ func TestMailboxNoHeadRetention(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.push(&packet{relSeq: uint64(i)})
 	}
-	m.pop() // forces the swap: head now holds the 4-packet list
+	m.tryPop() // forces the swap: head now holds the 4-packet list
 	head := m.head
-	m.pop()
-	m.pop()
+	m.tryPop()
+	m.tryPop()
 	for i := 0; i < 3; i++ {
 		if head[i] != nil {
 			t.Errorf("consumed head slot %d still holds a packet", i)
@@ -75,7 +74,7 @@ func TestMailboxNoHeadRetention(t *testing.T) {
 
 // TestMailboxConcurrentStress drives the MPSC queue from many
 // producers at once (run under -race in CI). Per-producer FIFO order
-// must survive batching, swapping, and buffer recycling.
+// must survive swapping and buffer recycling.
 func TestMailboxConcurrentStress(t *testing.T) {
 	const producers = 8
 	const perProducer = 2000
@@ -85,27 +84,20 @@ func TestMailboxConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(pr int) {
 			defer wg.Done()
-			seq := uint64(0)
-			for seq < perProducer {
-				if seq%3 == 0 && perProducer-seq >= 4 {
-					// Burst path: four packets, one lock acquisition.
-					batch := make([]*packet, 4)
-					for i := range batch {
-						batch[i] = &packet{src: pr, relSeq: seq}
-						seq++
-					}
-					m.pushBatch(batch)
-				} else {
-					m.push(&packet{src: pr, relSeq: seq})
-					seq++
-				}
+			for seq := uint64(0); seq < perProducer; seq++ {
+				m.push(&packet{src: pr, relSeq: seq})
 			}
 		}(pr)
 	}
 
 	next := make([]uint64, producers)
-	for n := 0; n < producers*perProducer; n++ {
-		pkt := m.pop()
+	for n := 0; n < producers*perProducer; {
+		pkt, ok := m.tryPop()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		n++
 		if pkt.relSeq != next[pkt.src] {
 			t.Fatalf("producer %d: popped seq %d, want %d", pkt.src, pkt.relSeq, next[pkt.src])
 		}

@@ -71,6 +71,14 @@ func (c *Comm) checkSendTag(tag int) error {
 	return nil
 }
 
+// checkSendLeg validates a send's destination and tag.
+func (c *Comm) checkSendLeg(dst, tag int) error {
+	if err := c.checkRank(dst); err != nil {
+		return err
+	}
+	return c.checkSendTag(tag)
+}
+
 // Request is a non-blocking operation handle (MPI_Request).
 type Request struct {
 	p          *Proc
@@ -264,10 +272,7 @@ func (c *Comm) Irecv(buf []byte, src, tag int) (*Request, error) {
 // IsendPayload is Isend for any payload layout — the entry the
 // bindings' staging uses.
 func (c *Comm) IsendPayload(pl Payload, dst, tag int) (*Request, error) {
-	if err := c.checkRank(dst); err != nil {
-		return nil, err
-	}
-	if err := c.checkSendTag(tag); err != nil {
+	if err := c.checkSendLeg(dst, tag); err != nil {
 		return nil, err
 	}
 	c.p.gateEnter()
@@ -321,11 +326,23 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 // exchange primitive that cannot deadlock where paired blocking calls
 // would.
 func (c *Comm) Sendrecv(sendBuf []byte, dst, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
-	rreq, err := c.Irecv(recvBuf, src, recvTag)
+	return c.SendrecvPayload(Contig(sendBuf), dst, sendTag, Contig(recvBuf), src, recvTag)
+}
+
+// SendrecvPayload is Sendrecv for any pair of layouts. The send leg is
+// validated before the receive is posted (IrecvPayload validates its
+// own leg before posting): an error must not leave a receive behind
+// that outlives the caller's landing buffer and swallows the peer's
+// next message.
+func (c *Comm) SendrecvPayload(send Payload, dst, sendTag int, recv Payload, src, recvTag int) (Status, error) {
+	if err := c.checkSendLeg(dst, sendTag); err != nil {
+		return Status{}, err
+	}
+	rreq, err := c.IrecvPayload(recv, src, recvTag)
 	if err != nil {
 		return Status{}, err
 	}
-	sreq, err := c.Isend(sendBuf, dst, sendTag)
+	sreq, err := c.IsendPayload(send, dst, sendTag)
 	if err != nil {
 		return Status{}, err
 	}

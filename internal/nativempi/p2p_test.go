@@ -297,6 +297,33 @@ func TestSendrecvExchange(t *testing.T) {
 		other := 1 - p.Rank()
 		out := pattern(2048, byte(p.Rank()))
 		in := make([]byte, 2048)
+		if p.Rank() == 0 {
+			// A bad leg must fail before anything is posted: a receive
+			// left behind would swallow the peer's message into orphan
+			// and the corrected retry below would deadlock.
+			orphan := make([]byte, 2048)
+			for _, bad := range []struct {
+				dst, sendTag, src, recvTag int
+				want                       error
+			}{
+				{7, 1, other, 1, ErrRank},
+				{other, -3, other, 1, ErrTag},
+				{other, 1, 7, 1, ErrRank},
+				{other, 1, other, -5, ErrTag},
+			} {
+				if _, err := c.Sendrecv(out, bad.dst, bad.sendTag, orphan, bad.src, bad.recvTag); !errors.Is(err, bad.want) {
+					t.Errorf("Sendrecv%+v: got %v, want %v", bad, err, bad.want)
+				}
+			}
+			if p.posted.pending() != 0 {
+				t.Errorf("rank 0: %d receives still posted after rejected Sendrecv calls", p.posted.pending())
+			}
+			defer func() {
+				if !bytes.Equal(orphan, make([]byte, 2048)) {
+					t.Error("a rejected Sendrecv's buffer received the peer's message")
+				}
+			}()
+		}
 		if _, err := c.Sendrecv(out, other, 1, in, other, 1); err != nil {
 			return err
 		}

@@ -264,12 +264,8 @@ func (w *World) HostStats() HostStats {
 	for _, p := range w.procs {
 		mb := p.mb.Stats()
 		hs.Mailbox.Pushes += mb.Pushes
-		hs.Mailbox.PushBatches += mb.PushBatches
 		hs.Mailbox.Swaps += mb.Swaps
 		hs.Mailbox.Batched += mb.Batched
-		if mb.MaxPush > hs.Mailbox.MaxPush {
-			hs.Mailbox.MaxPush = mb.MaxPush
-		}
 		if mb.MaxBatch > hs.Mailbox.MaxBatch {
 			hs.Mailbox.MaxBatch = mb.MaxBatch
 		}
