@@ -113,6 +113,57 @@ func TestAllocationTriggersGC(t *testing.T) {
 	}
 }
 
+// deadObjectAtZero leaves a discarded 600-byte object full of 85s at
+// heap offset 0 of a 1 KiB heap, so the next 600-byte allocation lands
+// on its bytes once a collection has compacted the heap.
+func deadObjectAtZero(t *testing.T) *Machine {
+	t.Helper()
+	m := newTestMachine(t, 1024, 1<<16)
+	dead := m.MustArray(Byte, 600)
+	dead.Fill(85)
+	dead.Discard()
+	return m
+}
+
+func assertZero(t *testing.T, n int, at func(i int) int64) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if v := at(i); v != 0 {
+			t.Fatalf("fresh object reads %d at index %d, want 0", v, i)
+		}
+	}
+}
+
+func TestNewArrayAfterGCReadsZero(t *testing.T) {
+	m := deadObjectAtZero(t)
+	if err := m.GC(); err != nil {
+		t.Fatal(err)
+	}
+	a := m.MustArray(Byte, 600)
+	assertZero(t, a.Len(), a.Int)
+}
+
+func TestNewArrayAfterImplicitGCReadsZero(t *testing.T) {
+	m := deadObjectAtZero(t)
+	a := m.MustArray(Byte, 600) // 600 dead + 600 requested > 1024: collects first
+	if m.Stats().Collections != 1 {
+		t.Fatalf("Collections = %d, want 1 (implicit)", m.Stats().Collections)
+	}
+	assertZero(t, a.Len(), a.Int)
+}
+
+func TestAllocateAfterGCReadsZero(t *testing.T) {
+	m := deadObjectAtZero(t)
+	if err := m.GC(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Allocate(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertZero(t, b.Capacity(), func(i int) int64 { return int64(b.ByteAt(i)) })
+}
+
 func TestOutOfMemory(t *testing.T) {
 	m := newTestMachine(t, 256, 1<<16)
 	if _, err := m.NewArray(Byte, 300); !errors.Is(err, ErrOutOfMemory) {
