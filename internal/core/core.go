@@ -182,7 +182,9 @@ type MPI struct {
 
 // Run launches the SPMD job: one goroutine per rank, each with its own
 // simulated JVM, JNI environment, and buffer pool (MPI.Init +
-// mpirun in one call). It returns when every rank's main returns.
+// mpirun in one call). It returns when every rank's main returns,
+// after releasing every rank's JVM (jvm.Machine.Release): values a
+// caller needs from Java objects must be copied out inside main.
 func Run(cfg Config, main func(mpi *MPI) error) error {
 	cfg = cfg.withDefaults()
 	topo := cluster.NewMapped(cfg.Nodes, cfg.PPN, cfg.Mapping)
@@ -247,6 +249,15 @@ func Run(cfg Config, main func(mpi *MPI) error) error {
 	scrapeMetrics(cfg.Metrics, mpis)
 	if cfg.HostStats != nil {
 		*cfg.HostStats = world.HostStats()
+	}
+	// From here no rank, engine worker, RDMA placement or borrowed
+	// payload can touch a rank's Java objects, so their storage goes back
+	// to the jvm free list for the next world. Java objects do not
+	// outlive Run: using one afterwards fails with jvm.ErrStale.
+	for _, mpi := range mpis {
+		if mpi != nil {
+			mpi.machine.Release()
+		}
 	}
 	return err
 }

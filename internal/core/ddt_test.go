@@ -401,7 +401,9 @@ func TestDDTRoundTripStruct(t *testing.T) {
 // The datapath differential: direct vs. framed
 // ---------------------------------------------------------------------
 
-type ddtArtifacts struct {
+// worldArtifacts is everything deterministic one world produced, plus
+// its host counters.
+type worldArtifacts struct {
 	recvs  [][]byte
 	clocks []vtime.Time
 	trace  []byte
@@ -409,11 +411,47 @@ type ddtArtifacts struct {
 	host   nativempi.HostStats
 }
 
+// export serialises the world's trace and metrics once Run has returned.
+func (a *worldArtifacts) export(rec *trace.Recorder, met *metrics.Registry) error {
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		return err
+	}
+	a.trace = append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if err := met.WriteJSON(&buf); err != nil {
+		return err
+	}
+	a.met = buf.Bytes()
+	return nil
+}
+
+// assertSameArtifacts fails t unless two worlds' receive payloads, final
+// clocks, trace JSONL and metrics JSON are byte-identical; legs names
+// the two runs in the failure messages.
+func assertSameArtifacts(t *testing.T, a, b worldArtifacts, legs string) {
+	t.Helper()
+	for r := range a.recvs {
+		if !bytes.Equal(a.recvs[r], b.recvs[r]) {
+			t.Errorf("rank %d: receive payload differs between the %s", r, legs)
+		}
+		if a.clocks[r] != b.clocks[r] {
+			t.Errorf("rank %d: final clock %d vs %d between the %s", r, a.clocks[r], b.clocks[r], legs)
+		}
+	}
+	if !bytes.Equal(a.trace, b.trace) {
+		t.Errorf("trace JSONL differs between the %s", legs)
+	}
+	if !bytes.Equal(a.met, b.met) {
+		t.Errorf("metrics JSON differs between the %s", legs)
+	}
+}
+
 // runDDTWorkload drives committed derived types across all three
 // protocol tiers — eager, zero-copy rendezvous, RDMA placement — plus
 // contiguous eager traffic and a collective, capturing every
 // deterministic artifact and the host counters.
-func runDDTWorkload(nodes, ppn, workers int, framed bool) (ddtArtifacts, error) {
+func runDDTWorkload(nodes, ppn, workers int, framed bool) (worldArtifacts, error) {
 	rec := trace.New(0)
 	met := metrics.NewRegistry()
 	var host nativempi.HostStats
@@ -425,7 +463,7 @@ func runDDTWorkload(nodes, ppn, workers int, framed bool) (ddtArtifacts, error) 
 	cfg.Metrics = met
 	cfg.HostStats = &host
 	np := nodes * ppn
-	a := ddtArtifacts{recvs: make([][]byte, np), clocks: make([]vtime.Time, np)}
+	a := worldArtifacts{recvs: make([][]byte, np), clocks: make([]vtime.Time, np)}
 
 	dtv := TypeVector(INT, 4, 8, 16) // 128 B payload, 224 B extent per element
 	dtv.Commit()
@@ -526,35 +564,8 @@ func runDDTWorkload(nodes, ppn, workers int, framed bool) (ddtArtifacts, error) 
 		return a, err
 	}
 	a.host = host
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		return a, err
-	}
-	a.trace = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := met.WriteJSON(&buf); err != nil {
-		return a, err
-	}
-	a.met = buf.Bytes()
-	return a, nil
-}
-
-func assertSameDDTArtifacts(t *testing.T, direct, framed ddtArtifacts) {
-	t.Helper()
-	for r := range direct.recvs {
-		if !bytes.Equal(direct.recvs[r], framed.recvs[r]) {
-			t.Errorf("rank %d: receive payload differs between the direct and framed datapaths", r)
-		}
-		if direct.clocks[r] != framed.clocks[r] {
-			t.Errorf("rank %d: final clock %d (direct) vs %d (framed)", r, direct.clocks[r], framed.clocks[r])
-		}
-	}
-	if !bytes.Equal(direct.trace, framed.trace) {
-		t.Error("trace JSONL differs between the direct and framed datapaths")
-	}
-	if !bytes.Equal(direct.met, framed.met) {
-		t.Error("metrics JSON differs between the direct and framed datapaths")
-	}
+	err = a.export(rec, met)
+	return a, err
 }
 
 // TestDDTZeroCopyDifferential is the strided guarantee: with the
@@ -582,7 +593,7 @@ func TestDDTZeroCopyDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameDDTArtifacts(t, direct, framed)
+				assertSameArtifacts(t, direct, framed, "direct and framed datapaths")
 				if direct.host.Copy.CopiesElided == 0 || direct.host.RDMA.Writes == 0 {
 					t.Errorf("direct: %d copies elided, %d placement writes, want both > 0",
 						direct.host.Copy.CopiesElided, direct.host.RDMA.Writes)

@@ -58,6 +58,9 @@ func (m *Machine) AllocateDirect(n int) (*ByteBuffer, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("jvm: invalid direct buffer capacity %d", n)
 	}
+	if m.released() {
+		return nil, errReleased
+	}
 	off, err := m.arena.alloc(n)
 	if err != nil {
 		return nil, err
@@ -98,6 +101,9 @@ func (b *ByteBuffer) Free() {
 		panic("jvm: Free on a Duplicate/Slice view; free the original buffer")
 	}
 	if b.direct {
+		if b.m.released() {
+			panic(errReleased)
+		}
 		b.m.arena.release(b.off, b.cap)
 		b.m.clock.Advance(b.m.costs.FreeDirect)
 		b.cap, b.limit, b.pos = 0, 0, 0
@@ -117,6 +123,9 @@ func (b *ByteBuffer) Machine() *Machine { return b.m }
 // storage returns the current backing bytes of this view.
 func (b *ByteBuffer) storage() []byte {
 	if b.direct {
+		if b.m.released() {
+			panic(errReleased)
+		}
 		return b.m.arena.bytes(b.off+b.base, b.cap)
 	}
 	p, err := b.m.payload(b.ref)
