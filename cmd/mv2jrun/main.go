@@ -76,10 +76,6 @@ func main() {
 	if *unexpBytes != 0 {
 		prof.UnexpectedQueueBytes = *unexpBytes
 	}
-	if err := prof.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "mv2jrun:", err)
-		os.Exit(2)
-	}
 	flavor := core.MVAPICH2J
 	if prof.Name == "openmpi" {
 		flavor = core.OpenMPIJ

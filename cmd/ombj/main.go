@@ -76,9 +76,6 @@ func main() {
 	if *unexpBytes != 0 {
 		prof.UnexpectedQueueBytes = *unexpBytes
 	}
-	if err := prof.Validate(); err != nil {
-		fatal(err)
-	}
 	flv := core.MVAPICH2J
 	switch *flavor {
 	case "":

@@ -184,8 +184,13 @@ type MPI struct {
 // simulated JVM, JNI environment, and buffer pool (MPI.Init +
 // mpirun in one call). It returns when every rank's main returns,
 // after releasing every rank's JVM (jvm.Machine.Release): values a
-// caller needs from Java objects must be copied out inside main.
+// caller needs from Java objects must be copied out inside main. A
+// profile that fails nativempi.Profile.Validate fails the launch
+// before any rank starts.
 func Run(cfg Config, main func(mpi *MPI) error) error {
+	if err := cfg.Lib.Validate(); err != nil {
+		return err
+	}
 	cfg = cfg.withDefaults()
 	topo := cluster.NewMapped(cfg.Nodes, cfg.PPN, cfg.Mapping)
 	intra, inter := fabric.FronteraShm(), fabric.FronteraIB()

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mv2j/internal/jvm"
@@ -31,6 +33,25 @@ func checkArray(a jvm.Array, seed int64) error {
 		}
 	}
 	return nil
+}
+
+// TestRunRejectsInvalidProfile: a CreditBatch above EagerCredits can
+// park a sender forever waiting for a grant, so Run must refuse the
+// profile before any rank starts, whichever front end built it.
+func TestRunRejectsInvalidProfile(t *testing.T) {
+	cfg := mv2Config(1, 2)
+	cfg.Lib.EagerCredits, cfg.Lib.CreditBatch = 2, 4
+	var started atomic.Bool
+	err := Run(cfg, func(*MPI) error {
+		started.Store(true)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "CreditBatch") {
+		t.Fatalf("Run with CreditBatch > EagerCredits: err = %v, want a CreditBatch error", err)
+	}
+	if started.Load() {
+		t.Fatal("Run started ranks with an invalid profile")
+	}
 }
 
 func TestSendRecvArraysBothFlavors(t *testing.T) {
