@@ -132,13 +132,18 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 // BenchmarkAblationKnomialRadix sweeps the knomial tree arity of the
 // MVAPICH2 shm-aware broadcast at 64 ranks: wide trees amortise
 // per-message overheads for small payloads, up to the point where the
-// root's sequential sends dominate.
+// root's sequential sends dominate. The sweep rewrites the radix of the
+// bcast table's rows for payloads up to 8 KiB.
 func BenchmarkAblationKnomialRadix(b *testing.B) {
 	radixUs := map[int]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, k := range []int{2, 4, 8, 16} {
 			prof := profile.MVAPICH2()
-			prof.KnomialRadix = k
+			for r := range prof.Bcast {
+				if prof.Bcast[r].MaxBytes == 8<<10 {
+					prof.Bcast[r].Radix = k
+				}
+			}
 			o := benchOpts(64, 64)
 			o.Iters = 10
 			cfg := omb.Config{

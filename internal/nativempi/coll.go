@@ -74,11 +74,9 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 		return nil
 	}
 	tag := c.collTag()
-	switch c.p.w.prof.SelectBcast(len(buf), p) {
-	case BcastBinomial:
-		return c.bcastKnomial(buf, root, tag, 2)
+	switch r := c.p.w.prof.Bcast.Pick(len(buf), p); r.Alg {
 	case BcastKnomial:
-		return c.bcastKnomial(buf, root, tag, c.p.w.prof.KnomialRadix)
+		return c.bcastKnomial(buf, root, tag, r.Radix)
 	case BcastScatterAllgather:
 		return c.bcastScatterAllgather(buf, root, tag)
 	case BcastBinaryTree:
@@ -86,28 +84,19 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 	case BcastFlat:
 		return c.bcastFlat(buf, root, tag)
 	case BcastShmAware:
-		// Wide fan-out amortises per-message overhead for small
-		// payloads; for large ones sequential full-payload sends at
-		// the tree nodes dominate, so the radix drops to binomial —
-		// mirroring MVAPICH2's size-tuned knomial radix.
-		k := c.p.w.prof.KnomialRadix
-		if len(buf) > 8192 {
-			k = 2
-		}
-		return c.bcastShmAware(buf, root, tag, k)
+		return c.bcastShmAware(buf, root, tag, r.Radix)
 	case BcastMultiLeader:
-		// Same size-tuned radix as the shm-aware path: wide trees for
-		// small payloads, binomial once full-payload forwards dominate.
-		k := c.p.w.prof.KnomialRadix
-		if len(buf) > 8192 {
-			k = 2
-		}
-		return c.bcastMultiLeader(buf, root, tag, k)
-	case BcastChain:
-		return c.bcastChain(buf, root, tag)
+		return c.bcastMultiLeader(buf, root, tag, r.Radix)
 	default:
-		return fmt.Errorf("nativempi: unknown bcast algorithm")
+		return c.errNoAlg("bcast", r.Alg, len(buf))
 	}
+}
+
+// errNoAlg reports a collective whose profile picked no algorithm it
+// implements — a profile Validate would have rejected.
+func (c *Comm) errNoAlg(coll string, alg fmt.Stringer, nbytes int) error {
+	return fmt.Errorf("nativempi: profile %q picks no %s algorithm for %d bytes on %d ranks (got %v)",
+		c.p.w.prof.Name, coll, nbytes, c.Size(), alg)
 }
 
 // bcastKnomial runs a k-ary tree broadcast rooted at root; k=2 is the
@@ -162,21 +151,6 @@ func (c *Comm) bcastBinaryTree(buf []byte, root, tag int) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// bcastChain forwards the payload rank-to-rank down one chain.
-func (c *Comm) bcastChain(buf []byte, root, tag int) error {
-	p := c.Size()
-	v := (c.myRank - root + p) % p
-	if v > 0 {
-		if err := c.crecv(buf, (v-1+root)%p, tag); err != nil {
-			return err
-		}
-	}
-	if v < p-1 {
-		return c.csend(buf, (v+1+root)%p, tag)
 	}
 	return nil
 }
@@ -254,8 +228,8 @@ func (c *Comm) bcastScatterAllgather(buf []byte, root, tag int) error {
 	return nil
 }
 
-// Reduce combines every rank's sendBuf with op into recvBuf at root.
-// recvBuf may be nil on non-root ranks.
+// Reduce combines every rank's sendBuf with op into recvBuf at root
+// over a binomial tree. recvBuf may be nil on non-root ranks.
 func (c *Comm) Reduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, root int) error {
 	if err := c.checkRank(root); err != nil {
 		return err
@@ -266,17 +240,7 @@ func (c *Comm) Reduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, root int) e
 		return fmt.Errorf("%w: reduce recv buffer %d != send %d", ErrCount, len(recvBuf), n)
 	}
 	tag := c.collTag()
-	switch c.p.w.prof.SelectReduce(n, c.Size()) {
-	case ReduceLinear:
-		return c.reduceLinear(sendBuf, recvBuf, kind, op, root, tag)
-	default:
-		return c.reduceBinomial(sendBuf, recvBuf, kind, op, root, tag)
-	}
-}
-
-func (c *Comm) reduceBinomial(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, root, tag int) error {
 	p := c.Size()
-	n := len(sendBuf)
 	v := (c.myRank - root + p) % p
 	acc := c.borrowScratch(n)
 	defer c.returnScratch(acc)
@@ -303,29 +267,6 @@ func (c *Comm) reduceBinomial(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, roo
 	return nil
 }
 
-func (c *Comm) reduceLinear(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, root, tag int) error {
-	if c.myRank != root {
-		return c.csend(sendBuf, root, tag)
-	}
-	n := len(sendBuf)
-	copy(recvBuf, sendBuf)
-	scratch := c.borrowScratch(n)
-	defer c.returnScratch(scratch)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		if err := c.crecv(scratch, r, tag); err != nil {
-			return err
-		}
-		if err := reduceInto(recvBuf, scratch, kind, op); err != nil {
-			return err
-		}
-		c.chargeCompute(n)
-	}
-	return nil
-}
-
 // Allreduce combines every rank's sendBuf into every rank's recvBuf.
 func (c *Comm) Allreduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op) error {
 	defer c.collSpan("allreduce", len(sendBuf))()
@@ -337,7 +278,9 @@ func (c *Comm) Allreduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op) error {
 		copy(recvBuf, sendBuf)
 		return nil
 	}
-	switch c.p.w.prof.SelectAllreduce(n, c.Size()) {
+	switch r := c.p.w.prof.Allreduce.Pick(n, c.Size()); r.Alg {
+	case AllreduceRecursiveDoubling:
+		return c.allreduceRecursiveDoubling(sendBuf, recvBuf, kind, op)
 	case AllreduceRabenseifner:
 		return c.allreduceRing(sendBuf, recvBuf, kind, op)
 	case AllreduceReduceBcast:
@@ -346,12 +289,11 @@ func (c *Comm) Allreduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op) error {
 		}
 		return c.Bcast(recvBuf, 0)
 	case AllreduceShmAware:
-		return c.allreduceShmAware(sendBuf, recvBuf, kind, op, c.p.w.prof.KnomialRadix)
+		return c.allreduceShmAware(sendBuf, recvBuf, kind, op, r.Radix)
 	case AllreduceMultiLeader:
-		return c.allreduceMultiLeader(sendBuf, recvBuf, kind, op,
-			c.p.w.prof.KnomialRadix, c.p.w.prof.LeadersPerNode)
+		return c.allreduceMultiLeader(sendBuf, recvBuf, kind, op, r.Radix, c.p.w.prof.LeadersPerNode)
 	default:
-		return c.allreduceRecursiveDoubling(sendBuf, recvBuf, kind, op)
+		return c.errNoAlg("allreduce", r.Alg, n)
 	}
 }
 

@@ -3,7 +3,8 @@ package nativempi
 import "fmt"
 
 // Allgather concatenates every rank's n-byte sendBuf into every
-// rank's recvBuf (size·n bytes, rank-ordered).
+// rank's recvBuf (size·n bytes, rank-ordered), circulating blocks
+// around the ring in p-1 steps.
 func (c *Comm) Allgather(sendBuf, recvBuf []byte) error {
 	defer c.collSpan("allgather", len(sendBuf))()
 	p := c.Size()
@@ -12,22 +13,6 @@ func (c *Comm) Allgather(sendBuf, recvBuf []byte) error {
 		return fmt.Errorf("%w: allgather recv buffer %d != %d", ErrCount, len(recvBuf), n*p)
 	}
 	tag := c.collTag()
-	switch c.p.w.prof.SelectAllgather(n, p) {
-	case AllgatherLinear:
-		// Gather to 0 then broadcast: the naive composition.
-		if err := c.gatherLinear(sendBuf, recvBuf, 0, tag); err != nil {
-			return err
-		}
-		return c.Bcast(recvBuf, 0)
-	default:
-		return c.allgatherRing(sendBuf, recvBuf, tag)
-	}
-}
-
-// allgatherRing circulates blocks around the ring in p-1 steps.
-func (c *Comm) allgatherRing(sendBuf, recvBuf []byte, tag int) error {
-	p := c.Size()
-	n := len(sendBuf)
 	me := c.myRank
 	copy(recvBuf[me*n:(me+1)*n], sendBuf)
 	right := (me + 1) % p
@@ -44,7 +29,8 @@ func (c *Comm) allgatherRing(sendBuf, recvBuf []byte, tag int) error {
 }
 
 // Alltoall sends block i of sendBuf to rank i and receives block j of
-// recvBuf from rank j; blocks are n bytes (len/size).
+// recvBuf from rank j; blocks are n bytes (len/size). Step s pairs
+// each rank with the ranks s ahead and s behind it.
 func (c *Comm) Alltoall(sendBuf, recvBuf []byte) error {
 	defer c.collSpan("alltoall", len(sendBuf))()
 	p := c.Size()
@@ -59,32 +45,19 @@ func (c *Comm) Alltoall(sendBuf, recvBuf []byte) error {
 		return nil
 	}
 	tag := c.collTag()
-	switch c.p.w.prof.SelectAlltoall(n, p) {
-	case AlltoallLinear:
-		reqs := make([]*Request, 0, 2*(p-1))
-		for off := 1; off < p; off++ {
-			src := (me - off + p) % p
-			reqs = append(reqs, c.cirecv(recvBuf[src*n:(src+1)*n], src, tag))
+	for step := 1; step < p; step++ {
+		dst := (me + step) % p
+		src := (me - step + p) % p
+		if err := c.csendrecv(sendBuf[dst*n:(dst+1)*n], dst,
+			recvBuf[src*n:(src+1)*n], src, tag); err != nil {
+			return err
 		}
-		for off := 1; off < p; off++ {
-			dst := (me + off) % p
-			reqs = append(reqs, c.cisend(sendBuf[dst*n:(dst+1)*n], dst, tag))
-		}
-		return Waitall(reqs)
-	default: // pairwise exchange
-		for step := 1; step < p; step++ {
-			dst := (me + step) % p
-			src := (me - step + p) % p
-			if err := c.csendrecv(sendBuf[dst*n:(dst+1)*n], dst,
-				recvBuf[src*n:(src+1)*n], src, tag); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
+	return nil
 }
 
-// Barrier blocks until every rank has entered it.
+// Barrier blocks until every rank has entered it: log2(p) rounds of
+// dissemination.
 func (c *Comm) Barrier() error {
 	defer c.collSpan("barrier", 0)()
 	p := c.Size()
@@ -92,31 +65,13 @@ func (c *Comm) Barrier() error {
 		return nil
 	}
 	tag := c.collTag()
-	switch c.p.w.prof.SelectBarrier(p) {
-	case BarrierLinear:
-		// Gather a token at rank 0, then broadcast the release.
-		token := []byte{}
-		if c.myRank == 0 {
-			for r := 1; r < p; r++ {
-				if err := c.crecv(token, r, tag); err != nil {
-					return err
-				}
-			}
-		} else {
-			if err := c.csend(token, 0, tag); err != nil {
-				return err
-			}
+	var token []byte
+	for mask := 1; mask < p; mask <<= 1 {
+		dst := (c.myRank + mask) % p
+		src := (c.myRank - mask + p) % p
+		if err := c.csendrecv(token, dst, token, src, tag); err != nil {
+			return err
 		}
-		return c.Bcast(token, 0)
-	default: // dissemination
-		var token []byte
-		for mask := 1; mask < p; mask <<= 1 {
-			dst := (c.myRank + mask) % p
-			src := (c.myRank - mask + p) % p
-			if err := c.csendrecv(token, dst, token, src, tag); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
+	return nil
 }

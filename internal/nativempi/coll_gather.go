@@ -15,11 +15,13 @@ func (c *Comm) Gather(sendBuf, recvBuf []byte, root int) error {
 		return fmt.Errorf("%w: gather recv buffer %d != %d", ErrCount, len(recvBuf), n*p)
 	}
 	tag := c.collTag()
-	switch c.p.w.prof.SelectGather(n, p) {
+	switch alg := c.p.w.prof.Gather; alg {
+	case GatherBinomial:
+		return c.gatherBinomial(sendBuf, recvBuf, root, tag)
 	case GatherLinear:
 		return c.gatherLinear(sendBuf, recvBuf, root, tag)
 	default:
-		return c.gatherBinomial(sendBuf, recvBuf, root, tag)
+		return c.errNoAlg("gather", alg, n)
 	}
 }
 
@@ -96,11 +98,13 @@ func (c *Comm) Scatter(sendBuf, recvBuf []byte, root int) error {
 		return fmt.Errorf("%w: scatter send buffer %d != %d", ErrCount, len(sendBuf), n*p)
 	}
 	tag := c.collTag()
-	switch c.p.w.prof.SelectScatter(n, p) {
+	switch alg := c.p.w.prof.Scatter; alg {
+	case ScatterBinomial:
+		return c.scatterBinomial(sendBuf, recvBuf, root, tag)
 	case ScatterLinear:
 		return c.scatterLinear(sendBuf, recvBuf, root, tag)
 	default:
-		return c.scatterBinomial(sendBuf, recvBuf, root, tag)
+		return c.errNoAlg("scatter", alg, n)
 	}
 }
 

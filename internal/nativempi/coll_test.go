@@ -17,31 +17,30 @@ import (
 // algorithm selection, so we sweep both library personalities plus
 // forced-algorithm profiles.
 func collProfiles() map[string]Profile {
-	force := func(name string, b BcastAlg, a AllreduceAlg) Profile {
+	force := func(name string, b BcastAlg, bk int, a AllreduceAlg, ak int) Profile {
 		return Profile{
-			Name:            name,
-			SelectBcast:     func(n, p int) BcastAlg { return b },
-			SelectAllreduce: func(n, p int) AllreduceAlg { return a },
+			Name:      name,
+			Bcast:     BcastTable{{Alg: b, Radix: bk}},
+			Allreduce: AllreduceTable{{Alg: a, Radix: ak}},
 		}
 	}
+	// hier forces a leader-based pair with the shipped tables' radix
+	// drop above 8 KiB, so both radices run.
+	hier := func(name string, b BcastAlg, a AllreduceAlg) Profile {
+		pr := force(name, b, 2, a, 4)
+		pr.Bcast = BcastTable{{MaxBytes: 8 << 10, Alg: b, Radix: 4}, {Alg: b, Radix: 2}}
+		return pr
+	}
 	return map[string]Profile{
-		"default":         {},
-		"binomial-recdbl": force("f1", BcastBinomial, AllreduceRecursiveDoubling),
-		"knomial-ring":    force("f2", BcastKnomial, AllreduceRabenseifner),
-		"scatterag-redbc": force("f3", BcastScatterAllgather, AllreduceReduceBcast),
-		"binarytree":      force("f4", BcastBinaryTree, AllreduceRecursiveDoubling),
-		"flat":            force("f5", BcastFlat, AllreduceReduceBcast),
-		"shmaware":        force("f6", BcastShmAware, AllreduceShmAware),
-		"multileader":     force("f7", BcastMultiLeader, AllreduceMultiLeader),
-		"linear-everything": {
-			Name:            "lin",
-			SelectReduce:    func(n, p int) ReduceAlg { return ReduceLinear },
-			SelectAllgather: func(n, p int) AllgatherAlg { return AllgatherLinear },
-			SelectAlltoall:  func(n, p int) AlltoallAlg { return AlltoallLinear },
-			SelectBarrier:   func(p int) BarrierAlg { return BarrierLinear },
-			SelectGather:    func(n, p int) GatherAlg { return GatherLinear },
-			SelectScatter:   func(n, p int) ScatterAlg { return ScatterLinear },
-		},
+		"default":           {},
+		"binomial-recdbl":   force("f1", BcastKnomial, 2, AllreduceRecursiveDoubling, 0),
+		"knomial-ring":      force("f2", BcastKnomial, 4, AllreduceRabenseifner, 0),
+		"scatterag-redbc":   force("f3", BcastScatterAllgather, 0, AllreduceReduceBcast, 0),
+		"binarytree":        force("f4", BcastBinaryTree, 0, AllreduceRecursiveDoubling, 0),
+		"flat":              force("f5", BcastFlat, 0, AllreduceReduceBcast, 0),
+		"shmaware":          hier("f6", BcastShmAware, AllreduceShmAware),
+		"multileader":       hier("f7", BcastMultiLeader, AllreduceMultiLeader),
+		"linear-everything": {Name: "lin", Gather: GatherLinear, Scatter: ScatterLinear},
 	}
 }
 
@@ -165,7 +164,7 @@ func TestReduceAndAllreduceSum(t *testing.T) {
 
 func TestAllreduceLargeRing(t *testing.T) {
 	// Force the ring algorithm on a payload big enough to chunk.
-	prof := Profile{SelectAllreduce: func(n, p int) AllreduceAlg { return AllreduceRabenseifner }}
+	prof := Profile{Allreduce: AllreduceTable{{Alg: AllreduceRabenseifner}}}
 	w := worldWith(prof, 2, 3)
 	const elems = 4096
 	err := w.Run(func(pr *Proc) error {

@@ -116,12 +116,12 @@ func TestMultiLeaderMatchesReference(t *testing.T) {
 				return out
 			}
 			ml := run(Profile{
-				SelectBcast:     func(n, p int) BcastAlg { return BcastMultiLeader },
-				SelectAllreduce: func(n, p int) AllreduceAlg { return AllreduceMultiLeader },
+				Bcast:     BcastTable{{Alg: BcastMultiLeader, Radix: 4}},
+				Allreduce: AllreduceTable{{Alg: AllreduceMultiLeader, Radix: 4}},
 			})
 			ref := run(Profile{
-				SelectBcast:     func(n, p int) BcastAlg { return BcastBinomial },
-				SelectAllreduce: func(n, p int) AllreduceAlg { return AllreduceRecursiveDoubling },
+				Bcast:     BcastTable{{Alg: BcastKnomial, Radix: 2}},
+				Allreduce: AllreduceTable{{Alg: AllreduceRecursiveDoubling}},
 			})
 			for r := range ml {
 				if !bytes.Equal(ml[r], ref[r]) {
@@ -140,8 +140,8 @@ func TestMultiLeaderLeadersKnob(t *testing.T) {
 		L := L
 		t.Run(fmt.Sprintf("L%d", L), func(t *testing.T) {
 			w := worldWith(Profile{
-				LeadersPerNode:  L,
-				SelectAllreduce: func(n, p int) AllreduceAlg { return AllreduceMultiLeader },
+				LeadersPerNode: L,
+				Allreduce:      AllreduceTable{{Alg: AllreduceMultiLeader, Radix: 4}},
 			}, 4, 6)
 			sumLongs(t, w, 8)
 		})

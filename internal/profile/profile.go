@@ -17,8 +17,11 @@ import (
 )
 
 // MVAPICH2 returns the MVAPICH2-like tuning: lean per-message software
-// path, knomial/scatter-allgather broadcasts, recursive-doubling and
-// ring allreduce.
+// path; shm-aware k-nomial broadcasts whose radix drops from 8 to 2
+// above 8 KiB, then scatter-allgather above 128 KiB; shm-aware then
+// Rabenseifner allreduce; multi-leader hierarchies once the communicator
+// reaches 256 ranks, where single-leader trees funnel every node's
+// traffic through one rank.
 func MVAPICH2() nativempi.Profile {
 	return nativempi.Profile{
 		Name:              "mvapich2",
@@ -29,55 +32,32 @@ func MVAPICH2() nativempi.Profile {
 		EagerIntra:        8192,
 		EagerInter:        16384,
 		CollMsgOverhead:   vtime.Nanos(90),
-		KnomialRadix:      8,
 		ReduceBandwidth:   10e9,
-		SelectBcast: func(nbytes, p int) nativempi.BcastAlg {
-			// At scale the single-leader trees funnel every node's
-			// traffic through one rank; MVAPICH2 switches to the
-			// multi-leader hierarchy once the communicator is large.
-			if p >= 256 {
-				return nativempi.BcastMultiLeader
-			}
-			if nbytes > 128*1024 {
-				return nativempi.BcastScatterAllgather
-			}
-			return nativempi.BcastShmAware
+		Bcast: nativempi.BcastTable{
+			{MinRanks: 256, MaxBytes: 8 << 10, Alg: nativempi.BcastMultiLeader, Radix: 8},
+			{MinRanks: 256, Alg: nativempi.BcastMultiLeader, Radix: 2},
+			{MaxBytes: 8 << 10, Alg: nativempi.BcastShmAware, Radix: 8},
+			{MaxBytes: 128 << 10, Alg: nativempi.BcastShmAware, Radix: 2},
+			{Alg: nativempi.BcastScatterAllgather},
 		},
-		SelectAllreduce: func(nbytes, p int) nativempi.AllreduceAlg {
-			if p >= 256 {
-				return nativempi.AllreduceMultiLeader
-			}
-			if nbytes > 32*1024 {
-				return nativempi.AllreduceRabenseifner
-			}
-			return nativempi.AllreduceShmAware
+		Allreduce: nativempi.AllreduceTable{
+			{MinRanks: 256, Alg: nativempi.AllreduceMultiLeader, Radix: 8},
+			{MaxBytes: 32 << 10, Alg: nativempi.AllreduceShmAware, Radix: 8},
+			{Alg: nativempi.AllreduceRabenseifner},
 		},
-		SelectReduce: func(nbytes, p int) nativempi.ReduceAlg {
-			return nativempi.ReduceBinomial
-		},
-		SelectAllgather: func(nbytes, p int) nativempi.AllgatherAlg {
-			return nativempi.AllgatherRing
-		},
-		SelectAlltoall: func(nbytes, p int) nativempi.AlltoallAlg {
-			return nativempi.AlltoallPairwise
-		},
-		SelectBarrier: func(p int) nativempi.BarrierAlg {
-			return nativempi.BarrierDissemination
-		},
-		SelectGather: func(nbytes, p int) nativempi.GatherAlg {
-			return nativempi.GatherBinomial
-		},
-		SelectScatter: func(nbytes, p int) nativempi.ScatterAlg {
-			return nativempi.ScatterBinomial
-		},
+		Gather:  nativempi.GatherBinomial,
+		Scatter: nativempi.ScatterBinomial,
 	}
 }
 
 // OpenMPI returns the Open MPI + UCX-like tuning of the paper's runs:
 // heavier intra-node small-message software path (the ×2.46 of
 // Fig. 5), comparable inter-node point-to-point, and costlier
-// collectives — higher per-step overhead and non-segmented binary-tree
-// broadcast / reduce+bcast allreduce schedules.
+// collectives — higher per-step overhead and the topology-oblivious
+// decision table: a linear (root-serialised) broadcast fan-out for small
+// payloads, a binomial tree in the middle, a non-segmented binary tree
+// for large payloads; reduce+bcast allreduce between recursive doubling
+// for tiny and Rabenseifner for huge payloads; linear gather and scatter.
 func OpenMPI() nativempi.Profile {
 	return nativempi.Profile{
 		Name:              "openmpi",
@@ -88,49 +68,19 @@ func OpenMPI() nativempi.Profile {
 		EagerIntra:        4096,
 		EagerInter:        8192,
 		CollMsgOverhead:   vtime.Nanos(550),
-		KnomialRadix:      2,
 		ReduceBandwidth:   8e9,
-		SelectBcast: func(nbytes, p int) nativempi.BcastAlg {
-			// The topology-oblivious decision table of the paper's Open
-			// MPI runs: a linear (root-serialised) fan-out for small
-			// payloads, a binomial tree in the middle, and a
-			// non-segmented binary tree for large payloads.
-			switch {
-			case nbytes <= 4096:
-				return nativempi.BcastFlat
-			case nbytes <= 32*1024:
-				return nativempi.BcastBinomial
-			default:
-				return nativempi.BcastBinaryTree
-			}
+		Bcast: nativempi.BcastTable{
+			{MaxBytes: 4 << 10, Alg: nativempi.BcastFlat},
+			{MaxBytes: 32 << 10, Alg: nativempi.BcastKnomial, Radix: 2},
+			{Alg: nativempi.BcastBinaryTree},
 		},
-		SelectAllreduce: func(nbytes, p int) nativempi.AllreduceAlg {
-			if nbytes > 1024*1024 {
-				return nativempi.AllreduceRabenseifner
-			}
-			if nbytes <= 256 {
-				return nativempi.AllreduceRecursiveDoubling
-			}
-			return nativempi.AllreduceReduceBcast
+		Allreduce: nativempi.AllreduceTable{
+			{MaxBytes: 256, Alg: nativempi.AllreduceRecursiveDoubling},
+			{MaxBytes: 1 << 20, Alg: nativempi.AllreduceReduceBcast},
+			{Alg: nativempi.AllreduceRabenseifner},
 		},
-		SelectReduce: func(nbytes, p int) nativempi.ReduceAlg {
-			return nativempi.ReduceBinomial
-		},
-		SelectAllgather: func(nbytes, p int) nativempi.AllgatherAlg {
-			return nativempi.AllgatherRing
-		},
-		SelectAlltoall: func(nbytes, p int) nativempi.AlltoallAlg {
-			return nativempi.AlltoallPairwise
-		},
-		SelectBarrier: func(p int) nativempi.BarrierAlg {
-			return nativempi.BarrierDissemination
-		},
-		SelectGather: func(nbytes, p int) nativempi.GatherAlg {
-			return nativempi.GatherLinear
-		},
-		SelectScatter: func(nbytes, p int) nativempi.ScatterAlg {
-			return nativempi.ScatterLinear
-		},
+		Gather:  nativempi.GatherLinear,
+		Scatter: nativempi.ScatterLinear,
 	}
 }
 
