@@ -23,38 +23,48 @@ var update = flag.Bool("update", false, "rewrite the collective latency golden f
 type goldenColl struct {
 	// blocks is true when a buffer holds one n-byte block per rank.
 	blocks bool
-	run    func(c *nativempi.Comm, send, recv []byte, n int) error
+	run    func(c *nativempi.Comm, send, recv []byte, n, root int) error
 }
 
 var goldenColls = map[string]goldenColl{
-	"bcast": {false, func(c *nativempi.Comm, send, _ []byte, n int) error { return c.Bcast(send[:n], 0) }},
-	"allreduce": {false, func(c *nativempi.Comm, send, recv []byte, n int) error {
+	"bcast": {false, func(c *nativempi.Comm, send, _ []byte, n, root int) error { return c.Bcast(send[:n], root) }},
+	"allreduce": {false, func(c *nativempi.Comm, send, recv []byte, n, _ int) error {
 		return c.Allreduce(send[:n], recv[:n], jvm.Byte, nativempi.OpSum)
 	}},
-	"reduce": {false, func(c *nativempi.Comm, send, recv []byte, n int) error {
-		return c.Reduce(send[:n], recv[:n], jvm.Byte, nativempi.OpSum, 0)
+	"reduce": {false, func(c *nativempi.Comm, send, recv []byte, n, root int) error {
+		return c.Reduce(send[:n], recv[:n], jvm.Byte, nativempi.OpSum, root)
 	}},
-	"gather": {true, func(c *nativempi.Comm, send, recv []byte, n int) error {
-		return c.Gather(send[:n], recv[:n*c.Size()], 0)
+	"gather": {true, func(c *nativempi.Comm, send, recv []byte, n, root int) error {
+		return c.Gather(send[:n], recv[:n*c.Size()], root)
 	}},
-	"scatter": {true, func(c *nativempi.Comm, send, recv []byte, n int) error {
-		return c.Scatter(send[:n*c.Size()], recv[:n], 0)
+	"scatter": {true, func(c *nativempi.Comm, send, recv []byte, n, root int) error {
+		return c.Scatter(send[:n*c.Size()], recv[:n], root)
 	}},
-	"allgather": {true, func(c *nativempi.Comm, send, recv []byte, n int) error {
+	"allgather": {true, func(c *nativempi.Comm, send, recv []byte, n, _ int) error {
 		return c.Allgather(send[:n], recv[:n*c.Size()])
 	}},
-	"alltoall": {true, func(c *nativempi.Comm, send, recv []byte, n int) error {
+	"alltoall": {true, func(c *nativempi.Comm, send, recv []byte, n, _ int) error {
 		return c.Alltoall(send[:n*c.Size()], recv[:n*c.Size()])
 	}},
-	"barrier": {false, func(c *nativempi.Comm, _, _ []byte, _ int) error { return c.Barrier() }},
+	"barrier": {false, func(c *nativempi.Comm, _, _ []byte, _, _ int) error { return c.Barrier() }},
 }
 
 // goldenRun is one world of the collective golden: a collective swept
-// over sizes on a nodes × ppn job.
+// over sizes on a nodes × ppn job, rooted at comm rank root.
 type goldenRun struct {
 	coll       string
 	nodes, ppn int
 	sizes      []int
+	root       int
+}
+
+// label names the run's collective in the golden: a root other than 0
+// is appended as "@root".
+func (r goldenRun) label() string {
+	if r.root == 0 {
+		return r.coll
+	}
+	return r.coll + "@" + strconv.Itoa(r.root)
 }
 
 // goldenRuns covers every blocking collective at the paper's
@@ -64,23 +74,42 @@ type goldenRun struct {
 // included; the other six take a few small sizes. Bcast and allreduce
 // also run at 16 × 16 around 8 KiB, where the multi-leader algorithms
 // take over.
+//
+// The rest move the root and the shape. Root 17 is not the lowest rank
+// of its node, so the node-leader trees must let it stand in for its
+// node: bcast and reduce at 4 × 16, and bcast at 16 × 16 where the
+// multi-leader bcast substitutes it. A 3 × 5 job has three node
+// leaders, so their recursive doubling folds in a non-power-of-two
+// group; bcast and reduce run there from roots 0 and 7 (7 is not its
+// node's lowest rank either), and allreduce once.
 func goldenRuns() []goldenRun {
 	var sweep []int
 	for n := 1; n <= 2<<20; n *= 2 {
 		sweep = append(sweep, n)
 	}
 	small, wide := []int{8, 16, 32, 64}, []int{8 << 10, 16 << 10}
+	rooted := []int{8, 8 << 10, 64 << 10}
 	var runs []goldenRun
 	for _, c := range []string{"bcast", "allreduce"} {
-		runs = append(runs, goldenRun{c, 4, 16, sweep})
+		runs = append(runs, goldenRun{c, 4, 16, sweep, 0})
 	}
 	for _, c := range []string{"reduce", "gather", "scatter", "allgather", "alltoall"} {
-		runs = append(runs, goldenRun{c, 4, 16, small})
+		runs = append(runs, goldenRun{c, 4, 16, small, 0})
 	}
-	runs = append(runs, goldenRun{"barrier", 4, 16, []int{0}})
+	runs = append(runs, goldenRun{"barrier", 4, 16, []int{0}, 0})
 	for _, c := range []string{"bcast", "allreduce"} {
-		runs = append(runs, goldenRun{c, 16, 16, wide})
+		runs = append(runs, goldenRun{c, 16, 16, wide, 0})
 	}
+	for _, c := range []string{"bcast", "reduce"} {
+		runs = append(runs, goldenRun{c, 4, 16, rooted, 17})
+	}
+	runs = append(runs, goldenRun{"bcast", 16, 16, wide, 17})
+	for _, c := range []string{"bcast", "reduce"} {
+		for _, root := range []int{0, 7} {
+			runs = append(runs, goldenRun{c, 3, 5, rooted, root})
+		}
+	}
+	runs = append(runs, goldenRun{"allreduce", 3, 5, rooted, 0})
 	return runs
 }
 
@@ -105,7 +134,7 @@ func goldenLatencies(t *testing.T, prof nativempi.Profile, r goldenRun) []vtime.
 		for i, n := range r.sizes {
 			for iter := 0; iter < 2; iter++ {
 				t0 := pr.Clock().Now()
-				if err := coll.run(c, send, recv, n); err != nil {
+				if err := coll.run(c, send, recv, n, r.root); err != nil {
 					return err
 				}
 				took[pr.Rank()][i] = pr.Clock().Now().Sub(t0)
@@ -135,12 +164,12 @@ func goldenLatencies(t *testing.T, prof nativempi.Profile, r goldenRun) []vtime.
 // -update to re-record after an announced model change.
 func TestGoldenCollectives(t *testing.T) {
 	var got bytes.Buffer
-	fmt.Fprintln(&got, "# lib shape collective bytes latency_ps (mean over ranks)")
+	fmt.Fprintln(&got, "# lib shape collective[@root] bytes latency_ps (mean over ranks)")
 	for _, prof := range []nativempi.Profile{profile.MVAPICH2(), profile.OpenMPI()} {
 		for _, r := range goldenRuns() {
 			for i, sum := range goldenLatencies(t, prof, r) {
 				mean := float64(sum) / float64(r.nodes*r.ppn)
-				fmt.Fprintf(&got, "%s %dx%d %s %d %s\n", prof.Name, r.nodes, r.ppn, r.coll, r.sizes[i],
+				fmt.Fprintf(&got, "%s %dx%d %s %d %s\n", prof.Name, r.nodes, r.ppn, r.label(), r.sizes[i],
 					strconv.FormatFloat(mean, 'f', -1, 64))
 			}
 		}
