@@ -1,6 +1,11 @@
 package core
 
-import "mv2j/internal/nativempi"
+import (
+	"errors"
+	"fmt"
+
+	"mv2j/internal/nativempi"
+)
 
 // Threading levels at the bindings layer. MVAPICH2-J inherits the
 // native library's MPI_Init_thread contract: the job asks for a level
@@ -39,6 +44,12 @@ func (m *MPI) ThreadLevel() ThreadLevel { return m.proc.ThreadLevelProvided() }
 // MPI_THREAD_MULTIPLE, concurrent calls pay the library's
 // lock-arbitration cost; under FUNNELED/SERIALIZED the simulated
 // runtime enforces the call-pattern rules by deterministic panic.
+// A refusal (threads under a fault plan or FT) satisfies errors.Is
+// with both ErrUnsupported and nativempi.ErrUnsupported.
 func (m *MPI) RunThreads(n int, fn func(tid int) error) error {
-	return m.proc.RunThreads(n, fn)
+	err := m.proc.RunThreads(n, fn)
+	if errors.Is(err, nativempi.ErrUnsupported) {
+		return fmt.Errorf("%w: %w", ErrUnsupported, err)
+	}
+	return err
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"mv2j/internal/nativempi"
 )
 
 // TestInitThreadBindings: the bindings-level MPI_Init_thread grants
@@ -76,5 +79,24 @@ func TestRunThreadsBindings(t *testing.T) {
 	}
 	if t0 != t1 || t0 <= 0 {
 		t.Fatalf("nondeterministic multithreaded bindings run: %v vs %v", t0, t1)
+	}
+}
+
+// TestRunThreadsUnderFT: the bindings pass the native refusal of
+// threads in a fault-tolerant world on as the bindings' own
+// ErrUnsupported, without losing the native sentinel.
+func TestRunThreadsUnderFT(t *testing.T) {
+	cfg := mv2Config(1, 2)
+	cfg.FT = true
+	err := Run(cfg, func(m *MPI) error {
+		m.InitThread(ThreadMultiple)
+		err := m.RunThreads(2, func(int) error { return nil })
+		if !errors.Is(err, ErrUnsupported) || !errors.Is(err, nativempi.ErrUnsupported) {
+			return fmt.Errorf("RunThreads under FT: err=%v, want core and nativempi ErrUnsupported", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -167,11 +167,11 @@ type threadGroup struct {
 // at a time and every interleaving decision is made on virtual state.
 //
 // n == 1 runs fn(0) inline. n > 1 requires a negotiated level above
-// ThreadSingle (see InitThread) and is unavailable under fault plans
-// or fault tolerance: the reliability timers and failure sweeps assume
-// one timeline per rank. The returned error is the first non-nil
-// thread error; a panic in any thread aborts the job, exactly as a
-// rank panic does.
+// ThreadSingle (see InitThread) and fails with ErrUnsupported under
+// fault plans or fault tolerance: the reliability timers and failure
+// sweeps assume one timeline per rank. The returned error is the first
+// non-nil thread error; a panic in any thread aborts the job, exactly
+// as a rank panic does.
 func (p *Proc) RunThreads(n int, fn func(tid int) error) error {
 	if fn == nil {
 		return fmt.Errorf("nativempi: rank %d: RunThreads with nil body", p.rank)
@@ -191,7 +191,7 @@ func (p *Proc) RunThreads(n int, fn func(tid int) error) error {
 			p.rank, n, ThreadFunneled, ThreadSingle)
 	}
 	if p.w.ft || p.w.fab.Faults() != nil {
-		return fmt.Errorf("nativempi: rank %d: RunThreads is unavailable under fault plans or fault tolerance", p.rank)
+		return fmt.Errorf("%w: rank %d: RunThreads is unavailable under fault plans or fault tolerance", ErrUnsupported, p.rank)
 	}
 
 	tg := &threadGroup{p: p, level: level, cur: 0}

@@ -2,6 +2,7 @@ package nativempi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -498,25 +499,36 @@ func TestProfileValidateThreading(t *testing.T) {
 	}
 }
 
-// TestRunThreadsUnderFaults: thread groups refuse to launch when the
-// fabric carries a fault plan (the reliability timers assume one
+// TestRunThreadsUnderFaults: thread groups refuse to launch with
+// ErrUnsupported when the fabric carries a fault plan or the world is
+// fault tolerant (the reliability timers and failure sweeps assume one
 // timeline per rank).
 func TestRunThreadsUnderFaults(t *testing.T) {
-	topo := cluster.New(1, 2)
 	plan, err := faults.ParseSpec("seed=1,drop=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := fabric.Default(topo).WithFaults(plan)
-	w := NewWorld(topo, fab, Profile{})
-	err = w.Run(func(p *Proc) error {
-		p.InitThread(ThreadMultiple)
-		if err := p.RunThreads(2, func(int) error { return nil }); err == nil {
-			return fmt.Errorf("RunThreads under a fault plan did not fail")
+	worlds := map[string]func() *World{
+		"faults": func() *World {
+			topo := cluster.New(1, 2)
+			return NewWorld(topo, fabric.Default(topo).WithFaults(plan), Profile{})
+		},
+		"ft": func() *World {
+			w := thrWorld(1, 2, Profile{})
+			w.EnableFT()
+			return w
+		},
+	}
+	for name, mk := range worlds {
+		err := mk().Run(func(p *Proc) error {
+			p.InitThread(ThreadMultiple)
+			if err := p.RunThreads(2, func(int) error { return nil }); !errors.Is(err, ErrUnsupported) {
+				return fmt.Errorf("RunThreads: err=%v, want ErrUnsupported", err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

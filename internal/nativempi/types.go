@@ -43,6 +43,9 @@ var (
 	ErrComm = errors.New("nativempi: invalid communicator")
 	// ErrRequest covers operations on completed/void requests.
 	ErrRequest = errors.New("nativempi: invalid request")
+	// ErrUnsupported refuses a combination of features the runtime does
+	// not model, such as simulated threads under a fault plan.
+	ErrUnsupported = errors.New("nativempi: unsupported feature combination")
 )
 
 // Op identifies a predefined reduction operation.
