@@ -76,7 +76,7 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 	tag := c.collTag()
 	switch r := c.p.w.prof.Bcast.Pick(len(buf), p); r.Alg {
 	case BcastKnomial:
-		return c.bcastKnomial(buf, root, tag, r.Radix)
+		return c.bcastKnomial(buf, nil, c.myRank, root, tag, r.Radix)
 	case BcastScatterAllgather:
 		return c.bcastScatterAllgather(buf, root, tag)
 	case BcastBinaryTree:
@@ -99,35 +99,54 @@ func (c *Comm) errNoAlg(coll string, alg fmt.Stringer, nbytes int) error {
 		c.p.w.prof.Name, coll, nbytes, c.Size(), alg)
 }
 
-// bcastKnomial runs a k-ary tree broadcast rooted at root; k=2 is the
-// classic binomial tree.
-func (c *Comm) bcastKnomial(buf []byte, root, tag, k int) error {
-	p := c.Size()
-	v := (c.myRank - root + p) % p // virtual rank: root becomes 0
+// Tree algorithms run over a member list: members[i] is the comm rank
+// of member i, and my is the caller's index in the list. A nil list is
+// the whole communicator in rank order (member i is comm rank i), so
+// the whole-comm callers pass c.myRank and neither allocate nor search.
+// Only members call.
+
+// memberCount returns the length of a member list.
+func (c *Comm) memberCount(members []int) int {
+	if members == nil {
+		return c.Size()
+	}
+	return len(members)
+}
+
+// memberRank returns the comm rank of member i.
+func memberRank(members []int, i int) int {
+	if members == nil {
+		return i
+	}
+	return members[i]
+}
+
+// bcastKnomial runs a k-ary tree broadcast over members rooted at
+// member rootIdx; k=2 is the classic binomial tree.
+func (c *Comm) bcastKnomial(buf []byte, members []int, my, rootIdx, tag, k int) error {
+	m := c.memberCount(members)
+	v := (my - rootIdx + m) % m // virtual index: root becomes 0
 
 	// Receive phase: find the level of my lowest non-zero base-k digit.
 	mask := 1
-	for mask < p && v%(mask*k) == 0 {
+	for mask < m && v%(mask*k) == 0 {
 		mask *= k
 	}
 	if v != 0 {
-		parent := ((v - v%(mask*k)) + root) % p
+		parent := memberRank(members, ((v-v%(mask*k))+rootIdx)%m)
 		if err := c.crecv(buf, parent, tag); err != nil {
 			return err
 		}
 	}
 	// Send phase: serve subtrees below my level, widest first.
-	for m := mask / k; m >= 1; m /= k {
+	for level := mask / k; level >= 1; level /= k {
 		for j := 1; j < k; j++ {
-			child := v + j*m
-			if child < p {
-				if err := c.csend(buf, (child+root)%p, tag); err != nil {
+			child := v + j*level
+			if child < m {
+				if err := c.csend(buf, memberRank(members, (child+rootIdx)%m), tag); err != nil {
 					return err
 				}
 			}
-		}
-		if m == 1 {
-			break
 		}
 	}
 	return nil
@@ -240,30 +259,45 @@ func (c *Comm) Reduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, root int) e
 		return fmt.Errorf("%w: reduce recv buffer %d != send %d", ErrCount, len(recvBuf), n)
 	}
 	tag := c.collTag()
-	p := c.Size()
-	v := (c.myRank - root + p) % p
 	acc := c.borrowScratch(n)
 	defer c.returnScratch(acc)
 	copy(acc, sendBuf)
-	scratch := c.borrowScratch(n)
+	if err := c.reduceBinomial(acc, nil, c.myRank, root, tag, kind, op); err != nil {
+		return err
+	}
+	if c.myRank == root {
+		copy(recvBuf, acc)
+	}
+	return nil
+}
+
+// reduceBinomial reduces the members' acc vectors onto member rootIdx
+// over a binomial tree; on return the root's acc holds the combined
+// value.
+func (c *Comm) reduceBinomial(acc []byte, members []int, my, rootIdx, tag int, kind jvm.Kind, op Op) error {
+	m := c.memberCount(members)
+	if m <= 1 {
+		return nil
+	}
+	v := (my - rootIdx + m) % m
+	scratch := c.borrowScratch(len(acc))
 	defer c.returnScratch(scratch)
-	for mask := 1; mask < p; mask <<= 1 {
+	for mask := 1; mask < m; mask <<= 1 {
 		if v&mask != 0 {
-			parent := ((v ^ mask) + root) % p
+			parent := memberRank(members, ((v^mask)+rootIdx)%m)
 			return c.csend(acc, parent, tag)
 		}
 		partner := v + mask
-		if partner < p {
-			if err := c.crecv(scratch, (partner+root)%p, tag); err != nil {
+		if partner < m {
+			if err := c.crecv(scratch, memberRank(members, (partner+rootIdx)%m), tag); err != nil {
 				return err
 			}
 			if err := reduceInto(acc, scratch, kind, op); err != nil {
 				return err
 			}
-			c.chargeCompute(n)
+			c.chargeCompute(len(acc))
 		}
 	}
-	copy(recvBuf, acc)
 	return nil
 }
 
@@ -280,7 +314,9 @@ func (c *Comm) Allreduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op) error {
 	}
 	switch r := c.p.w.prof.Allreduce.Pick(n, c.Size()); r.Alg {
 	case AllreduceRecursiveDoubling:
-		return c.allreduceRecursiveDoubling(sendBuf, recvBuf, kind, op)
+		tag := c.collTag()
+		copy(recvBuf, sendBuf)
+		return c.allreduceRecursiveDoubling(recvBuf, nil, c.myRank, tag, kind, op)
 	case AllreduceRabenseifner:
 		return c.allreduceRing(sendBuf, recvBuf, kind, op)
 	case AllreduceReduceBcast:
@@ -289,51 +325,51 @@ func (c *Comm) Allreduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op) error {
 		}
 		return c.Bcast(recvBuf, 0)
 	case AllreduceShmAware:
-		return c.allreduceShmAware(sendBuf, recvBuf, kind, op, r.Radix)
+		return c.allreduceMultiLeader(sendBuf, recvBuf, kind, op, r.Radix, 1)
 	case AllreduceMultiLeader:
-		return c.allreduceMultiLeader(sendBuf, recvBuf, kind, op, r.Radix, c.p.w.prof.LeadersPerNode)
+		return c.allreduceMultiLeader(sendBuf, recvBuf, kind, op, r.Radix, sectionsPerNode)
 	default:
 		return c.errNoAlg("allreduce", r.Alg, n)
 	}
 }
 
-// allreduceRecursiveDoubling exchanges-and-combines over log2 steps,
-// with the standard fold-in/fold-out handling for non-power-of-two
-// sizes.
-func (c *Comm) allreduceRecursiveDoubling(sendBuf, recvBuf []byte, kind jvm.Kind, op Op) error {
-	p := c.Size()
-	n := len(sendBuf)
-	tag := c.collTag()
-	copy(recvBuf, sendBuf)
-	scratch := c.borrowScratch(n)
+// allreduceRecursiveDoubling exchanges-and-combines over log2 steps
+// among the members, with the standard fold-in/fold-out handling for
+// non-power-of-two counts; every member ends with the combined vector
+// in acc.
+func (c *Comm) allreduceRecursiveDoubling(acc []byte, members []int, my, tag int, kind jvm.Kind, op Op) error {
+	m := c.memberCount(members)
+	if m <= 1 {
+		return nil
+	}
+	scratch := c.borrowScratch(len(acc))
 	defer c.returnScratch(scratch)
 
 	pof2 := 1
-	for pof2*2 <= p {
+	for pof2*2 <= m {
 		pof2 *= 2
 	}
-	rem := p - pof2
+	rem := m - pof2
 
-	// Fold-in: the first 2*rem ranks pair up; odd ranks hand their
+	// Fold-in: the first 2*rem members pair up; odd ones hand their
 	// vector to the even partner and sit out.
-	var v int // rank within the power-of-two group, -1 if sitting out
+	v := -1 // index within the power-of-two group, -1 if sitting out
 	switch {
-	case c.myRank < 2*rem && c.myRank%2 != 0:
-		if err := c.csend(recvBuf, c.myRank-1, tag); err != nil {
+	case my < 2*rem && my%2 != 0:
+		if err := c.csend(acc, memberRank(members, my-1), tag); err != nil {
 			return err
 		}
-		v = -1
-	case c.myRank < 2*rem:
-		if err := c.crecv(scratch, c.myRank+1, tag); err != nil {
+	case my < 2*rem:
+		if err := c.crecv(scratch, memberRank(members, my+1), tag); err != nil {
 			return err
 		}
-		if err := reduceInto(recvBuf, scratch, kind, op); err != nil {
+		if err := reduceInto(acc, scratch, kind, op); err != nil {
 			return err
 		}
-		c.chargeCompute(n)
-		v = c.myRank / 2
+		c.chargeCompute(len(acc))
+		v = my / 2
 	default:
-		v = c.myRank - rem
+		v = my - rem
 	}
 
 	if v >= 0 {
@@ -344,23 +380,23 @@ func (c *Comm) allreduceRecursiveDoubling(sendBuf, recvBuf []byte, kind jvm.Kind
 			return vr + rem
 		}
 		for mask := 1; mask < pof2; mask <<= 1 {
-			partner := toReal(v ^ mask)
-			if err := c.csendrecv(recvBuf, partner, scratch, partner, tag); err != nil {
+			partner := memberRank(members, toReal(v^mask))
+			if err := c.csendrecv(acc, partner, scratch, partner, tag); err != nil {
 				return err
 			}
-			if err := reduceInto(recvBuf, scratch, kind, op); err != nil {
+			if err := reduceInto(acc, scratch, kind, op); err != nil {
 				return err
 			}
-			c.chargeCompute(n)
+			c.chargeCompute(len(acc))
 		}
 	}
 
-	// Fold-out: even partners return the result to the odd ranks.
-	if c.myRank < 2*rem {
-		if c.myRank%2 == 0 {
-			return c.csend(recvBuf, c.myRank+1, tag)
+	// Fold-out: even partners return the result to the odd members.
+	if my < 2*rem {
+		if my%2 == 0 {
+			return c.csend(acc, memberRank(members, my+1), tag)
 		}
-		return c.crecv(recvBuf, c.myRank-1, tag)
+		return c.crecv(acc, memberRank(members, my-1), tag)
 	}
 	return nil
 }

@@ -6,41 +6,13 @@ import "mv2j/internal/jvm"
 // algorithms behind MVAPICH2's collective advantage on multi-node
 // runs: stage inter-node traffic through one leader rank per node, so
 // the expensive network carries O(nodes) messages while the cheap
-// intra-node channel fans out within each node.
+// intra-node channel fans out within each node. Every phase is one of
+// the tree algorithms in coll.go run over a member list.
 
-// nodePlan partitions a communicator's members by node.
-type nodePlan struct {
-	// myNodeMembers lists comm ranks on the caller's node, in comm
-	// order; myNodeIdx is the caller's position among them.
-	myNodeMembers []int
-	// leaders holds one comm rank per node (the lowest comm rank on
-	// the node), ordered by node id.
-	leaders []int
-}
-
-func (c *Comm) planNodes() nodePlan {
-	topo := c.p.w.topo
-	myNode := topo.NodeOf(c.group[c.myRank])
-	leaderOf := map[int]int{} // node -> lowest comm rank
-	var pl nodePlan
-	var nodes []int
-	for r, wr := range c.group {
-		n := topo.NodeOf(wr)
-		if _, ok := leaderOf[n]; !ok {
-			leaderOf[n] = r
-			nodes = append(nodes, n)
-		}
-		if n == myNode {
-			pl.myNodeMembers = append(pl.myNodeMembers, r)
-		}
-	}
-	// nodes were appended in comm-rank order, which is deterministic
-	// and identical on every member.
-	for _, n := range nodes {
-		pl.leaders = append(pl.leaders, leaderOf[n])
-	}
-	return pl
-}
+// sectionsPerNode is the section count per node of the multi-leader
+// collectives, capped by the smallest node's member count. Each
+// section leader drives its own inter-node stream.
+const sectionsPerNode = 4
 
 func indexOf(list []int, v int) int {
 	for i, x := range list {
@@ -51,184 +23,20 @@ func indexOf(list []int, v int) int {
 	return -1
 }
 
-// bcastKnomialSubset broadcasts buf over the comm ranks in members,
-// rooted at members[rootIdx], with a k-ary tree. Only members call it.
-func (c *Comm) bcastKnomialSubset(buf []byte, members []int, rootIdx, tag, k int) error {
-	m := len(members)
-	if m <= 1 {
-		return nil
-	}
-	my := indexOf(members, c.myRank)
-	v := (my - rootIdx + m) % m
-	mask := 1
-	for mask < m && v%(mask*k) == 0 {
-		mask *= k
-	}
-	if v != 0 {
-		parent := members[((v-v%(mask*k))+rootIdx)%m]
-		if err := c.crecv(buf, parent, tag); err != nil {
-			return err
-		}
-	}
-	for mm := mask / k; mm >= 1; mm /= k {
-		for j := 1; j < k; j++ {
-			child := v + j*mm
-			if child < m {
-				if err := c.csend(buf, members[(child+rootIdx)%m], tag); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// reduceBinomialSubset reduces members' acc vectors onto
-// members[rootIdx]; on return the root's acc holds the combined value.
-func (c *Comm) reduceBinomialSubset(acc []byte, members []int, rootIdx, tag int, kind jvm.Kind, op Op) error {
-	m := len(members)
-	if m <= 1 {
-		return nil
-	}
-	my := indexOf(members, c.myRank)
-	v := (my - rootIdx + m) % m
-	scratch := c.borrowScratch(len(acc))
-	defer c.returnScratch(scratch)
-	for mask := 1; mask < m; mask <<= 1 {
-		if v&mask != 0 {
-			parent := members[((v^mask)+rootIdx)%m]
-			return c.csend(acc, parent, tag)
-		}
-		partner := v + mask
-		if partner < m {
-			if err := c.crecv(scratch, members[(partner+rootIdx)%m], tag); err != nil {
-				return err
-			}
-			if err := reduceInto(acc, scratch, kind, op); err != nil {
-				return err
-			}
-			c.chargeCompute(len(acc))
-		}
-	}
-	return nil
-}
-
-// allreduceRecDblSubset runs recursive doubling over members (with the
-// standard non-power-of-two fold); every member ends with the combined
-// vector in acc.
-func (c *Comm) allreduceRecDblSubset(acc []byte, members []int, tag int, kind jvm.Kind, op Op) error {
-	m := len(members)
-	if m <= 1 {
-		return nil
-	}
-	my := indexOf(members, c.myRank)
-	scratch := c.borrowScratch(len(acc))
-	defer c.returnScratch(scratch)
-	pof2 := 1
-	for pof2*2 <= m {
-		pof2 *= 2
-	}
-	rem := m - pof2
-	v := -1
-	switch {
-	case my < 2*rem && my%2 != 0:
-		if err := c.csend(acc, members[my-1], tag); err != nil {
-			return err
-		}
-	case my < 2*rem:
-		if err := c.crecv(scratch, members[my+1], tag); err != nil {
-			return err
-		}
-		if err := reduceInto(acc, scratch, kind, op); err != nil {
-			return err
-		}
-		c.chargeCompute(len(acc))
-		v = my / 2
-	default:
-		v = my - rem
-	}
-	if v >= 0 {
-		toReal := func(vr int) int {
-			if vr < rem {
-				return vr * 2
-			}
-			return vr + rem
-		}
-		for mask := 1; mask < pof2; mask <<= 1 {
-			partner := members[toReal(v^mask)]
-			if err := c.csendrecv(acc, partner, scratch, partner, tag); err != nil {
-				return err
-			}
-			if err := reduceInto(acc, scratch, kind, op); err != nil {
-				return err
-			}
-			c.chargeCompute(len(acc))
-		}
-	}
-	if my < 2*rem {
-		if my%2 == 0 {
-			return c.csend(acc, members[my+1], tag)
-		}
-		return c.crecv(acc, members[my-1], tag)
-	}
-	return nil
-}
-
-// bcastShmAware is the two-level broadcast: root hands the payload to
-// its node leader set (k-nomial over the network), then each leader
-// fans out over shared memory.
-func (c *Comm) bcastShmAware(buf []byte, root, tag, k int) error {
-	pl := c.planNodes()
-	// Use the root itself as its node's representative in the leader
-	// phase, so the payload starts the inter-node phase immediately.
-	rootNode := c.p.w.topo.NodeOf(c.group[root])
-	leaders := make([]int, len(pl.leaders))
-	copy(leaders, pl.leaders)
-	rootLeaderIdx := -1
-	for i, l := range leaders {
-		if c.p.w.topo.NodeOf(c.group[l]) == rootNode {
-			leaders[i] = root
-			rootLeaderIdx = i
-		}
-	}
-	myLeader := leaders[0]
-	for _, l := range leaders {
-		if c.p.w.topo.NodeOf(c.group[l]) == c.p.w.topo.NodeOf(c.group[c.myRank]) {
-			myLeader = l
-		}
-	}
-	// Phase 1: inter-node, leaders only.
-	if indexOf(leaders, c.myRank) >= 0 {
-		if err := c.bcastKnomialSubset(buf, leaders, rootLeaderIdx, tag, k); err != nil {
-			return err
-		}
-	}
-	// Phase 2: intra-node fan-out from each node's representative.
-	members := pl.myNodeMembers
-	// The representative may be the root (on the root's node) rather
-	// than the lowest rank.
-	repIdx := indexOf(members, myLeader)
-	if repIdx < 0 {
-		// Root is this node's representative but not its lowest rank:
-		// member list still contains it (it is on this node).
-		repIdx = indexOf(members, root)
-	}
-	return c.bcastKnomialSubset(buf, members, repIdx, tag, k)
-}
-
 // planNodeMembers partitions the communicator's members by node: one
 // comm-rank list per node, members in comm order, node groups ordered
 // by first appearance in the comm — deterministic and identical on
-// every member. Memoized per Comm (membership is immutable; shrink
-// builds a fresh Comm), because rebuilding it on every collective is
-// O(p) per rank — O(p²) per operation across the job.
-func (c *Comm) planNodeMembers() [][]int {
-	if c.nodesML != nil {
-		return c.nodesML
+// every member. It also returns the caller's node (mine) and its index
+// in that node's list (my). Memoized per Comm (membership is
+// immutable; shrink builds a fresh Comm), because rebuilding it on
+// every collective is O(p) per rank — O(p²) per operation across the
+// job.
+func (c *Comm) planNodeMembers() (nodes [][]int, mine, my int) {
+	if c.nodes != nil {
+		return c.nodes, c.myNode, c.myNodeIdx
 	}
 	topo := c.p.w.topo
 	idx := map[int]int{}
-	var nodes [][]int
 	for r, wr := range c.group {
 		n := topo.NodeOf(wr)
 		i, ok := idx[n]
@@ -237,10 +45,13 @@ func (c *Comm) planNodeMembers() [][]int {
 			idx[n] = i
 			nodes = append(nodes, nil)
 		}
+		if r == c.myRank {
+			c.myNode, c.myNodeIdx = i, len(nodes[i])
+		}
 		nodes[i] = append(nodes[i], r)
 	}
-	c.nodesML = nodes
-	return nodes
+	c.nodes = nodes
+	return nodes, c.myNode, c.myNodeIdx
 }
 
 // sectionBounds returns the [start, end) bounds of section s when a
@@ -256,13 +67,25 @@ func sectionBounds(m, secCount, s int) (int, int) {
 	return start, start + size
 }
 
+// sectionOf returns the section holding index i of a member list of
+// length m split into secCount sections, and that section's bounds.
+func sectionOf(m, secCount, i int) (s, lo, hi int) {
+	for s = 0; s < secCount-1; s++ {
+		if lo, hi = sectionBounds(m, secCount, s); i < hi {
+			return s, lo, hi
+		}
+	}
+	lo, hi = sectionBounds(m, secCount, s)
+	return s, lo, hi
+}
+
 // sectionCount picks the uniform per-node section count for the
-// multi-leader collectives: the profile's LeadersPerNode, capped by
-// the SMALLEST node's member count. Uniformity matters for
-// correctness — the inter-node phase pairs same-index sections across
-// nodes, so every node must field the same number of sections.
-func sectionCount(nodes [][]int, leadersPerNode int) int {
-	sc := leadersPerNode
+// multi-leader collectives: want, capped by the SMALLEST node's member
+// count. Uniformity matters for correctness — the inter-node phase
+// pairs same-index sections across nodes, so every node must field
+// the same number of sections.
+func sectionCount(nodes [][]int, want int) int {
+	sc := want
 	for _, mem := range nodes {
 		if len(mem) < sc {
 			sc = len(mem)
@@ -274,6 +97,48 @@ func sectionCount(nodes [][]int, leadersPerNode int) int {
 	return sc
 }
 
+// bcastNodeReps is the inter-node phase of the leader-based
+// broadcasts: a k-nomial broadcast among one representative per node,
+// the node's lowest comm rank, except that the root stands in for its
+// own node so the payload enters the network at once. Only the
+// representatives send or receive. It returns the caller's node
+// members, the caller's index among them (my), and the index of the
+// node's representative (repIdx), which holds the payload afterwards.
+func (c *Comm) bcastNodeReps(buf []byte, root, tag, k int) (members []int, my, repIdx int, err error) {
+	nodes, mine, my := c.planNodeMembers()
+	members = nodes[mine]
+	topo := c.p.w.topo
+	rootNode := topo.NodeOf(c.group[root])
+	if topo.NodeOf(c.group[c.myRank]) == rootNode {
+		repIdx = indexOf(members, root)
+	}
+	if my != repIdx {
+		return members, my, repIdx, nil
+	}
+	reps := make([]int, len(nodes))
+	rootIdx := 0
+	for i, mem := range nodes {
+		reps[i] = mem[0]
+		if topo.NodeOf(c.group[mem[0]]) == rootNode {
+			reps[i], rootIdx = root, i
+		}
+	}
+	return members, my, repIdx, c.bcastKnomial(buf, reps, mine, rootIdx, tag, k)
+}
+
+// bcastShmAware is the two-level broadcast: the root hands the payload
+// to the node representatives (k-nomial over the network), then each
+// representative fans out over shared memory. Unlike the shm-aware
+// allreduce it is not the one-section multi-leader algorithm: the
+// root's node fans out from the root itself, not from its lowest rank.
+func (c *Comm) bcastShmAware(buf []byte, root, tag, k int) error {
+	members, my, repIdx, err := c.bcastNodeReps(buf, root, tag, k)
+	if err != nil {
+		return err
+	}
+	return c.bcastKnomial(buf, members, my, repIdx, tag, k)
+}
+
 // allreduceMultiLeader is the four-phase multi-leader allreduce for
 // fat nodes at scale. Each node's members split into secCount
 // contiguous sections; (1) each section reduces onto its leader over
@@ -282,47 +147,33 @@ func sectionCount(nodes [][]int, leadersPerNode int) int {
 // instead of one, (3) each node's section leaders recursive-double
 // intra-node to combine the per-section global partials into the full
 // sum, (4) each leader broadcasts k-nomially back over its section.
-func (c *Comm) allreduceMultiLeader(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, k, leadersPerNode int) error {
-	nodes := c.planNodeMembers()
+// With one section per node it is the shm-aware allreduce: phase 3
+// has a single member and does nothing.
+func (c *Comm) allreduceMultiLeader(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, k, sections int) error {
+	nodes, mine, my := c.planNodeMembers()
 	copy(recvBuf, sendBuf)
-	secCount := sectionCount(nodes, leadersPerNode)
+	secCount := sectionCount(nodes, sections)
 	tag1 := c.collTag()
 	tag2 := c.collTag()
 	tag3 := c.collTag()
 	tag4 := c.collTag()
-	myNode := -1
-	for i, mem := range nodes {
-		if indexOf(mem, c.myRank) >= 0 {
-			myNode = i
-			break
-		}
-	}
-	members := nodes[myNode]
-	my := indexOf(members, c.myRank)
-	mySec := 0
-	var sec []int
-	for s := 0; s < secCount; s++ {
-		lo, hi := sectionBounds(len(members), secCount, s)
-		if my >= lo && my < hi {
-			mySec = s
-			sec = members[lo:hi]
-			break
-		}
-	}
+	members := nodes[mine]
+	mySec, lo, hi := sectionOf(len(members), secCount, my)
+	sec := members[lo:hi]
 	// Phase 1: intra-section reduce onto the section leader.
-	if err := c.reduceBinomialSubset(recvBuf, sec, 0, tag1, kind, op); err != nil {
+	if err := c.reduceBinomial(recvBuf, sec, my-lo, 0, tag1, kind, op); err != nil {
 		return err
 	}
-	if c.myRank == sec[0] {
+	if my == lo {
 		// Phase 2: inter-node allreduce among same-index section
 		// leaders. Groups for distinct section indices are disjoint rank
 		// sets, so the secCount exchanges proceed concurrently.
 		group := make([]int, len(nodes))
 		for i, mem := range nodes {
-			lo, _ := sectionBounds(len(mem), secCount, mySec)
-			group[i] = mem[lo]
+			l, _ := sectionBounds(len(mem), secCount, mySec)
+			group[i] = mem[l]
 		}
-		if err := c.allreduceRecDblSubset(recvBuf, group, tag2, kind, op); err != nil {
+		if err := c.allreduceRecursiveDoubling(recvBuf, group, mine, tag2, kind, op); err != nil {
 			return err
 		}
 		// Phase 3: intra-node combine across this node's section
@@ -330,15 +181,15 @@ func (c *Comm) allreduceMultiLeader(sendBuf, recvBuf []byte, kind jvm.Kind, op O
 		// the allreduce over them yields the full global sum everywhere.
 		secLeaders := make([]int, secCount)
 		for s := range secLeaders {
-			lo, _ := sectionBounds(len(members), secCount, s)
-			secLeaders[s] = members[lo]
+			l, _ := sectionBounds(len(members), secCount, s)
+			secLeaders[s] = members[l]
 		}
-		if err := c.allreduceRecDblSubset(recvBuf, secLeaders, tag3, kind, op); err != nil {
+		if err := c.allreduceRecursiveDoubling(recvBuf, secLeaders, mySec, tag3, kind, op); err != nil {
 			return err
 		}
 	}
 	// Phase 4: intra-section fan-out from the leader.
-	return c.bcastKnomialSubset(recvBuf, sec, 0, tag4, k)
+	return c.bcastKnomial(recvBuf, sec, my-lo, 0, tag4, k)
 }
 
 // bcastMultiLeader is the three-level broadcast: k-nomial among node
@@ -347,77 +198,36 @@ func (c *Comm) allreduceMultiLeader(sendBuf, recvBuf []byte, kind jvm.Kind, op O
 // leaders over shared memory, then k-nomial within each section. A
 // root that is not a section leader receives its own payload back in
 // phase 3 — redundant but deterministic, and it keeps every phase a
-// uniform subset broadcast.
+// uniform member-list broadcast.
 func (c *Comm) bcastMultiLeader(buf []byte, root, tag, k int) error {
-	nodes := c.planNodeMembers()
-	secCount := sectionCount(nodes, c.p.w.prof.LeadersPerNode)
-	topo := c.p.w.topo
-	rootNode := topo.NodeOf(c.group[root])
-	myNode := -1
-	for i, mem := range nodes {
-		if indexOf(mem, c.myRank) >= 0 {
-			myNode = i
-			break
-		}
-	}
-	members := nodes[myNode]
 	// Phase 1: inter-node, one representative per node.
-	reps := make([]int, len(nodes))
-	rootRepIdx := 0
-	for i, mem := range nodes {
-		reps[i] = mem[0]
-		if topo.NodeOf(c.group[mem[0]]) == rootNode {
-			reps[i] = root
-			rootRepIdx = i
-		}
+	members, my, repIdx, err := c.bcastNodeReps(buf, root, tag, k)
+	if err != nil {
+		return err
 	}
-	if indexOf(reps, c.myRank) >= 0 {
-		if err := c.bcastKnomialSubset(buf, reps, rootRepIdx, tag, k); err != nil {
-			return err
-		}
-	}
+	nodes, _, _ := c.planNodeMembers()
+	secCount := sectionCount(nodes, sectionsPerNode)
 	// Phase 2: representative → this node's section leaders.
-	rep := reps[myNode]
-	leaders := []int{rep}
+	var leaderBuf [sectionsPerNode + 1]int
+	leaders := append(leaderBuf[:0], members[repIdx])
+	myLeaderIdx := -1
+	if my == repIdx {
+		myLeaderIdx = 0
+	}
 	for s := 0; s < secCount; s++ {
-		lo, _ := sectionBounds(len(members), secCount, s)
-		if members[lo] != rep {
+		if lo, _ := sectionBounds(len(members), secCount, s); lo != repIdx {
+			if lo == my {
+				myLeaderIdx = len(leaders)
+			}
 			leaders = append(leaders, members[lo])
 		}
 	}
-	if indexOf(leaders, c.myRank) >= 0 {
-		if err := c.bcastKnomialSubset(buf, leaders, 0, tag, k); err != nil {
+	if myLeaderIdx >= 0 {
+		if err := c.bcastKnomial(buf, leaders, myLeaderIdx, 0, tag, k); err != nil {
 			return err
 		}
 	}
 	// Phase 3: section leader → section members.
-	my := indexOf(members, c.myRank)
-	for s := 0; s < secCount; s++ {
-		lo, hi := sectionBounds(len(members), secCount, s)
-		if my >= lo && my < hi {
-			return c.bcastKnomialSubset(buf, members[lo:hi], 0, tag, k)
-		}
-	}
-	return nil
-}
-
-// allreduceShmAware combines three phases: an intra-node reduce onto
-// each node leader (shared memory), a recursive-doubling allreduce
-// among leaders (network), and an intra-node broadcast.
-func (c *Comm) allreduceShmAware(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, k int) error {
-	pl := c.planNodes()
-	copy(recvBuf, sendBuf)
-	tag1 := c.collTag()
-	tag2 := c.collTag()
-	tag3 := c.collTag()
-	members := pl.myNodeMembers
-	if err := c.reduceBinomialSubset(recvBuf, members, 0, tag1, kind, op); err != nil {
-		return err
-	}
-	if c.myRank == members[0] {
-		if err := c.allreduceRecDblSubset(recvBuf, pl.leaders, tag2, kind, op); err != nil {
-			return err
-		}
-	}
-	return c.bcastKnomialSubset(recvBuf, members, 0, tag3, k)
+	_, lo, hi := sectionOf(len(members), secCount, my)
+	return c.bcastKnomial(buf, members[lo:hi], my-lo, 0, tag, k)
 }

@@ -18,7 +18,11 @@ type Comm struct {
 	collSeq int           // rolling tag for collective operations
 	ftSeq   int           // rolling agreement counter for recovery operations (ft.go)
 	scr     *scratchArena // lazily created scratch arena (pool.go)
-	nodesML [][]int       // memoized planNodeMembers (comm membership is immutable)
+
+	// nodes, myNode and myNodeIdx memoize planNodeMembers (comm
+	// membership is immutable).
+	nodes             [][]int
+	myNode, myNodeIdx int
 }
 
 // Rank returns the calling process's rank within the communicator.

@@ -39,8 +39,11 @@ const (
 	// BcastFlat has the root send to every rank in turn.
 	BcastFlat
 	// BcastShmAware is the two-level leader-based broadcast: k-nomial
-	// among node leaders over the network, then k-nomial fan-out over
-	// shared memory within each node — MVAPICH2's multi-node strategy.
+	// among one representative per node over the network (the root
+	// stands in for its own node), then k-nomial fan-out over shared
+	// memory from each representative — MVAPICH2's multi-node strategy.
+	// It is not BcastMultiLeader with one section: the root's node fans
+	// out from the root, not from its lowest rank.
 	BcastShmAware
 	// BcastMultiLeader is the three-level scale-out broadcast: k-nomial
 	// among node representatives over the network, k-nomial among each
@@ -60,15 +63,16 @@ const (
 	// AllreduceReduceBcast: naive composition of a reduce and a bcast.
 	AllreduceReduceBcast
 	// AllreduceShmAware: intra-node reduce onto node leaders, recursive
-	// doubling among leaders, k-nomial intra-node broadcast.
+	// doubling among leaders, k-nomial intra-node broadcast — exactly
+	// AllreduceMultiLeader with one section per node.
 	AllreduceShmAware
-	// AllreduceMultiLeader: each node's ranks are split into
-	// LeadersPerNode sections; sections reduce onto their leader,
-	// same-index leaders recursive-double ACROSS nodes concurrently
-	// (multiple network streams per node), the node's section leaders
-	// combine intra-node, and sections broadcast back k-nomially. The
-	// multi-leader shape MVAPICH2 uses once single-leader trees saturate
-	// at scale.
+	// AllreduceMultiLeader: each node's ranks are split into four
+	// sections (fewer when a node has fewer ranks); sections reduce onto
+	// their leader, same-index leaders recursive-double ACROSS nodes
+	// concurrently (multiple network streams per node), the node's
+	// section leaders combine intra-node, and sections broadcast back
+	// k-nomially. The multi-leader shape MVAPICH2 uses once
+	// single-leader trees saturate at scale.
 	AllreduceMultiLeader
 )
 
@@ -233,12 +237,6 @@ type Profile struct {
 	// — notably higher in Open MPI's libnbc-style framework).
 	CollMsgOverhead vtime.Duration
 
-	// LeadersPerNode is the section-leader count per node for the
-	// multi-leader collectives (default 4). Each leader drives its own
-	// inter-node stream, so the effective network concurrency per node
-	// is min(LeadersPerNode, ranks on the node).
-	LeadersPerNode int
-
 	// ReduceBandwidth is the local elementwise-combine rate in
 	// bytes/second for reduction computation.
 	ReduceBandwidth float64
@@ -394,9 +392,6 @@ type Profile struct {
 func (pr Profile) normalize() Profile {
 	if pr.Name == "" {
 		pr.Name = "generic"
-	}
-	if pr.LeadersPerNode < 1 {
-		pr.LeadersPerNode = 4
 	}
 	if pr.ReduceBandwidth <= 0 {
 		pr.ReduceBandwidth = 8e9

@@ -16,7 +16,7 @@ import (
 
 // sumLongs runs one long-vector allreduce and checks every rank got
 // the exact global sum.
-func sumLongs(t *testing.T, w *World, elems int) {
+func sumLongs(t *testing.T, w *World, elems int, allreduce func(c *Comm, send, recv []byte) error) {
 	t.Helper()
 	n := w.Size()
 	err := w.Run(func(p *Proc) error {
@@ -26,7 +26,7 @@ func sumLongs(t *testing.T, w *World, elems int) {
 			binary.LittleEndian.PutUint64(send[i*8:], uint64(p.Rank()+i))
 		}
 		recv := make([]byte, elems*8)
-		if err := c.Allreduce(send, recv, jvm.Long, OpSum); err != nil {
+		if err := allreduce(c, send, recv); err != nil {
 			return err
 		}
 		for i := 0; i < elems; i++ {
@@ -50,7 +50,9 @@ func TestScaleAllreduce1024(t *testing.T) {
 		t.Skip("np=1024 job in -short mode")
 	}
 	w := worldWith(Profile{}, 32, 32)
-	sumLongs(t, w, 16)
+	sumLongs(t, w, 16, func(c *Comm, send, recv []byte) error {
+		return c.Allreduce(send, recv, jvm.Long, OpSum)
+	})
 }
 
 // TestScaleBcast1024 checks the three-level multi-leader broadcast at
@@ -132,18 +134,16 @@ func TestMultiLeaderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMultiLeaderLeadersKnob checks the LeadersPerNode knob: every
-// width yields the same values, and widths beyond the node size are
-// capped rather than dropping sections.
+// TestMultiLeaderLeadersKnob checks the multi-leader allreduce's
+// section width: every width yields the same values, and widths beyond
+// the node size are capped rather than dropping sections.
 func TestMultiLeaderLeadersKnob(t *testing.T) {
 	for _, L := range []int{1, 2, 4, 7, 64} {
 		L := L
 		t.Run(fmt.Sprintf("L%d", L), func(t *testing.T) {
-			w := worldWith(Profile{
-				LeadersPerNode: L,
-				Allreduce:      AllreduceTable{{Alg: AllreduceMultiLeader, Radix: 4}},
-			}, 4, 6)
-			sumLongs(t, w, 8)
+			sumLongs(t, worldWith(Profile{}, 4, 6), 8, func(c *Comm, send, recv []byte) error {
+				return c.allreduceMultiLeader(send, recv, jvm.Long, OpSum, 4, L)
+			})
 		})
 	}
 }
