@@ -1,6 +1,7 @@
 package mpjbuf
 
 import (
+	"bytes"
 	"testing"
 
 	"mv2j/internal/jvm"
@@ -57,6 +58,8 @@ func FuzzIncomingMessage(f *testing.F) {
 // codec: an intact frame must round-trip exactly; a frame with
 // arbitrary bytes corrupted must either be rejected or decode to the
 // original content (detection never panics and never false-accepts).
+// Encoding into a recycled buffer — all 0xFF, or holding a different
+// frame — must produce the same bytes as encoding into a zeroed one.
 func FuzzRelFrameCodec(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint16(0), uint64(0), uint16(0), uint8(0))
 	f.Add([]byte{1, 2, 3}, uint8(1), uint8(0), uint16(2), uint64(77), uint16(5), uint8(0xa5))
@@ -67,7 +70,25 @@ func FuzzRelFrameCodec(f *testing.F) {
 			t.Skip()
 		}
 		h := RelHeader{Stream: stream, Kind: kind, Attempt: attempt, Seq: seq}
-		frame := EncodeRelFrame(h, payload)
+		frame := make([]byte, RelHeaderSize+len(payload))
+		EncodeRelFrame(frame, h, payload)
+
+		// Recycled buffers: every stale byte is overwritten.
+		filled := bytes.Repeat([]byte{0xFF}, len(frame))
+		EncodeRelFrame(filled, h, payload)
+		if !bytes.Equal(filled, frame) {
+			t.Fatalf("encode into a 0xFF-filled buffer differs from a fresh one:\n%x\n%x", filled, frame)
+		}
+		other := make([]byte, len(payload))
+		for i := range payload {
+			other[i] = ^payload[i]
+		}
+		prev := make([]byte, len(frame))
+		EncodeRelFrame(prev, RelHeader{Stream: ^stream, Kind: ^kind, Attempt: ^attempt, Seq: ^seq}, other)
+		EncodeRelFrame(prev, h, payload)
+		if !bytes.Equal(prev, frame) {
+			t.Fatalf("encode over a previous frame differs from a fresh one:\n%x\n%x", prev, frame)
+		}
 
 		// Intact frames round-trip.
 		gotH, gotP, err := DecodeRelFrame(frame)

@@ -36,6 +36,11 @@ const (
 
 var relTable = crc32.MakeTable(crc32.Castagnoli)
 
+// relZeroSum stands in for the checksum field when DecodeRelFrame
+// recomputes the CRC; a package-level array, because a []byte literal
+// there escapes and costs an allocation per decoded frame.
+var relZeroSum [4]byte
+
 // Errors returned by DecodeRelFrame. ErrRelCorrupt wraps every
 // integrity failure so callers can treat "short", "bad magic" and
 // "bad checksum" uniformly as wire corruption.
@@ -51,21 +56,29 @@ type RelHeader struct {
 	Seq     uint64
 }
 
-// EncodeRelFrame builds the wire image of one transmission: header
-// plus payload, checksummed. The payload is copied; mutating the
-// returned frame (fault injection) does not touch the caller's buffer.
-func EncodeRelFrame(h RelHeader, payload []byte) []byte {
-	frame := make([]byte, RelHeaderSize+len(payload))
+// EncodeRelFrame writes the wire image of one transmission — header
+// plus payload, checksummed — into frame, which must be exactly
+// RelHeaderSize+len(payload) bytes (anything else is a caller bug and
+// panics). Every byte of frame is overwritten, the reserved byte and the
+// checksum field (zeroed before the CRC) included, so a frame recycled
+// from a pool holding stale bytes encodes to exactly what a freshly
+// made one would. The payload is copied; mutating the frame (fault
+// injection) does not touch the caller's buffer. It does not allocate.
+func EncodeRelFrame(frame []byte, h RelHeader, payload []byte) {
+	if len(frame) != RelHeaderSize+len(payload) {
+		panic(fmt.Sprintf("mpjbuf: %d-byte frame for a %d-byte payload", len(frame), len(payload)))
+	}
 	binary.LittleEndian.PutUint16(frame[0:], relMagic)
 	frame[2] = relVersion
 	frame[3] = h.Stream
 	frame[4] = h.Kind
+	frame[5] = 0
 	binary.LittleEndian.PutUint16(frame[6:], h.Attempt)
 	binary.LittleEndian.PutUint64(frame[8:], h.Seq)
 	binary.LittleEndian.PutUint32(frame[16:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[20:], 0)
 	copy(frame[RelHeaderSize:], payload)
 	binary.LittleEndian.PutUint32(frame[20:], crc32.Checksum(frame, relTable))
-	return frame
 }
 
 // DecodeRelFrame validates and decodes a wire image. Corruption of any
@@ -91,9 +104,9 @@ func DecodeRelFrame(frame []byte) (RelHeader, []byte, error) {
 	}
 	want := binary.LittleEndian.Uint32(frame[20:])
 	// Recompute with the checksum field zeroed, without mutating the
-	// (possibly shared) frame.
+	// frame (decoding is read-only).
 	sum := crc32.Checksum(frame[:20], relTable)
-	sum = crc32.Update(sum, relTable, []byte{0, 0, 0, 0})
+	sum = crc32.Update(sum, relTable, relZeroSum[:])
 	sum = crc32.Update(sum, relTable, frame[24:])
 	if sum != want {
 		return RelHeader{}, nil, fmt.Errorf("%w: checksum %#x != %#x", ErrRelCorrupt, sum, want)

@@ -9,14 +9,26 @@ import (
 // Host-side memory reuse. The simulator used to pay a fresh allocation
 // for every packet struct, every eager/rendezvous wire payload, and
 // every collective scratch buffer — the host-side analogue of the
-// bounce-buffer tax the paper's mpjbuf pool exists to avoid. Three
+// bounce-buffer tax the paper's mpjbuf pool exists to avoid. Four
 // reuse layers remove that tax:
 //
 //   - a sync.Pool of packet structs (packets cross goroutines, so the
 //     pool must be concurrency-safe);
 //   - size-classed sync.Pools of wire payload buffers (ditto);
+//   - the same size classes for reliability frames under a fault plan;
 //   - a per-Comm scratch arena for collective working buffers
 //     (rank-confined, so a plain free list with no locking).
+//
+// A reliability frame's life is its carrying packet's. reliablePost
+// gets one frame of RelHeaderSize+n bytes per materialised copy and
+// marks the copy ownsWire; a fabric duplicate gets its own copy of the
+// frame, never a share. The receiver's freePacket puts it back: after
+// admit and dispatch have consumed the payload aliasing it, or at the
+// checksum/duplicate reject. Not on ack — the sender precomputes the
+// whole burst and keeps no frame. A packet discarded without freePacket
+// — stranded in a mailbox or outbox by an abort, or settled by
+// drainPending after Run (a dead rank's letters included) — leaves its
+// frame to the GC.
 //
 // None of this can affect virtual time: buffers are fully overwritten
 // or explicitly zeroed before reuse, and no pool ever touches a clock.
@@ -54,6 +66,9 @@ func freePacket(p *packet) {
 	p.freed = true
 	if p.ownsData {
 		putWire(p.data.b)
+	}
+	if p.ownsWire {
+		putWire(p.wire) // an admitted packet's data aliases it; cleared below
 	}
 	p.data = Payload{}
 	p.wire = nil

@@ -1,10 +1,14 @@
 package nativempi
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"mv2j/internal/cluster"
 	"mv2j/internal/fabric"
+	"mv2j/internal/faults"
 	"mv2j/internal/jvm"
 )
 
@@ -145,6 +149,61 @@ func TestPacketBorrowedPayloadWithoutOwnershipFreesCleanly(t *testing.T) {
 	freePacket(p)
 	if string(user) != "user buffer bytes" {
 		t.Error("freeing a borrowed packet disturbed the user buffer")
+	}
+}
+
+// TestLossyStreamReusesFrames is the reliability framing's host budget:
+// after one warm-up world, a drop=0.01 2x1 stream of 256 x 64 KiB
+// rendezvous messages allocates less than a quarter of the payload
+// bytes it sends, because every frame comes from the wire pool and
+// returns to it when the receiver frees the packet. A fresh frame per
+// transmission came to more than 16 MiB on its own. Not parallel:
+// TotalAlloc counts the whole process.
+func TestLossyStreamReusesFrames(t *testing.T) {
+	const msgs, size = 256, 64 << 10
+	msg := pattern(size, 3)
+	world := func() (uint64, ProcStats) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := faultyWorld(2, 1, faults.Uniform(11, 0.01), Profile{})
+		err := w.Run(func(p *Proc) error {
+			c := p.CommWorld()
+			if p.Rank() == 0 {
+				for i := 0; i < msgs; i++ {
+					if err := c.Send(msg, 1, i); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			buf := make([]byte, size)
+			for i := 0; i < msgs; i++ {
+				if _, err := c.Recv(buf, 0, i); err != nil {
+					return err
+				}
+				if !bytes.Equal(buf, msg) {
+					return fmt.Errorf("message %d corrupted", i)
+				}
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, worldStats(w)
+	}
+	first, _ := world()
+	second, st := world()
+	t.Logf("Go heap allocated: warm-up world %d B, measured world %d B (%d B of payload sent)", first, second, msgs*size)
+	if st.FaultDrops == 0 || st.Retransmits == 0 {
+		t.Fatalf("drop plan injected nothing: %+v", st)
+	}
+	if raceEnabled {
+		t.Skip("race detector randomly discards sync.Pool puts; the budget only holds in a normal build")
+	}
+	if budget := uint64(msgs * size / 4); second >= budget {
+		t.Fatalf("measured world allocated %d B, want < %d B: its reliability frames were not recycled", second, budget)
 	}
 }
 

@@ -50,14 +50,16 @@ type packet struct {
 	rdma bool
 
 	// Host-side reuse bookkeeping (see pool.go). ownsData marks a
-	// payload taken from the wire pool; freed guards against a double
-	// free of the packet struct itself. borrowed marks a direct-datapath
-	// DATA packet whose data is the SENDER's live payload descriptor
-	// (the receiver performs the transfer's only host copy straight out
-	// of the user's memory, then fences with pktRndvFin) — or a CTS whose
-	// data is the RECEIVER's registered landing layout: never pool-owned
-	// — freePacket panics if such a payload ever claims pool ownership.
+	// payload taken from the wire pool, ownsWire a reliability frame
+	// taken from it; freed guards against a double free of the packet
+	// struct itself. borrowed marks a direct-datapath DATA packet whose
+	// data is the SENDER's live payload descriptor (the receiver performs
+	// the transfer's only host copy straight out of the user's memory,
+	// then fences with pktRndvFin) — or a CTS whose data is the
+	// RECEIVER's registered landing layout: never pool-owned — freePacket
+	// panics if such a payload ever claims pool ownership.
 	ownsData bool
+	ownsWire bool
 	freed    bool
 	borrowed bool
 

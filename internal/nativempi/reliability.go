@@ -163,7 +163,10 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 				fmt.Sprintf("drop %v seq=%d attempt=%d", stream, seq, k), dst, n, sendT)
 		} else {
 			hdr.Attempt = uint16(k)
-			frame := mpjbuf.EncodeRelFrame(hdr, pkt.data.b)
+			// The frame comes from the wire pool and goes back when the
+			// packet carrying it is freed at the receiver (see pool.go).
+			frame := getWire(mpjbuf.RelHeaderSize + n)
+			mpjbuf.EncodeRelFrame(frame, hdr, pkt.data.b)
 			// Framing copies the payload into the frame image — host
 			// data movement a borrow can never elide, which is why a
 			// fault plan forces the framed rendezvous leg.
@@ -183,6 +186,7 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 			*cp = *pkt
 			cp.freed = false
 			cp.wire = frame
+			cp.ownsWire = true
 			cp.data = Payload{} // the receiver recovers the payload from the frame
 			cp.ownsData = false
 			cp.relStream, cp.relSeq, cp.attempt = stream, seq, k
@@ -193,10 +197,16 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 				p.postRaw(dst, cp)
 			} else {
 				// Copied before cp is posted: a posted packet belongs to
-				// the transport.
+				// the transport. The duplicate gets its own frame (the
+				// corrupted one, if the attempt is corrupt): each copy's
+				// frame is freed with it, so a shared one would return
+				// to the pool twice. The fabric's copy, not the
+				// datapath's, so copyStats does not count it.
 				dup := getPacket()
 				*dup = *cp
 				dup.freed = false
+				dup.wire = getWire(len(frame))
+				copy(dup.wire, frame)
 				dup.arriveAt = cp.arriveAt.Add(ch.Latency / 2)
 				p.postRaw(dst, cp)
 				p.postRaw(dst, dup)
