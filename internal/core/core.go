@@ -90,8 +90,6 @@ func (f Flavor) bindingOverhead() vtime.Duration {
 type Config struct {
 	// Nodes and PPN shape the cluster (default 1x2).
 	Nodes, PPN int
-	// Mapping is the rank placement policy (default block).
-	Mapping cluster.Mapping
 	// Lib is the native library profile (default profile.MVAPICH2()
 	// must be passed explicitly by callers; zero value = generic).
 	Lib nativempi.Profile
@@ -104,10 +102,6 @@ type Config struct {
 	Flavor Flavor
 	// HeapSize/ArenaSize configure each rank's simulated JVM.
 	HeapSize, ArenaSize int
-	// Costs overrides the JVM access-cost model.
-	Costs *jvm.AccessCosts
-	// JNICosts overrides the JNI boundary cost model.
-	JNICosts *jni.Costs
 	// Intra/Inter override the fabric channels when non-nil.
 	Intra, Inter *fabric.Params
 	// Faults attaches a fault-injection plan to the fabric; the native
@@ -192,7 +186,7 @@ func Run(cfg Config, main func(mpi *MPI) error) error {
 		return err
 	}
 	cfg = cfg.withDefaults()
-	topo := cluster.NewMapped(cfg.Nodes, cfg.PPN, cfg.Mapping)
+	topo := cluster.New(cfg.Nodes, cfg.PPN)
 	intra, inter := fabric.FronteraShm(), fabric.FronteraIB()
 	if cfg.Intra != nil {
 		intra = *cfg.Intra
@@ -223,15 +217,9 @@ func Run(cfg Config, main func(mpi *MPI) error) error {
 		machine := jvm.NewMachine(p.Clock(), jvm.Options{
 			HeapSize:  cfg.HeapSize,
 			ArenaSize: cfg.ArenaSize,
-			Costs:     cfg.Costs,
 		})
 		machine.SetGCObserver(gcObserver(world, p.Rank())) // per-world closure
-		var env *jni.Env
-		if cfg.JNICosts != nil {
-			env = jni.NewWithCosts(machine, *cfg.JNICosts)
-		} else {
-			env = jni.New(machine)
-		}
+		env := jni.New(machine)
 		var pool *mpjbuf.Pool
 		if cfg.UnpooledBuffers {
 			pool = mpjbuf.NewUnpooled(machine)

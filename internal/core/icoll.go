@@ -39,8 +39,8 @@ func (st *staging) pending(m *MPI, req *nativempi.CollRequest, err error) (*Coll
 }
 
 // complete finishes the request without charging a bindings call — the
-// one completion body under Wait, Test and WaitallColl: native wait,
-// unpack staged receives, release staging, exactly once.
+// one completion body under Wait and Test: native wait, unpack staged
+// receives, release staging, exactly once.
 func (r *CollRequest) complete() error {
 	if !r.waited {
 		r.err = r.st.done(r.native.Wait())
@@ -164,24 +164,4 @@ func (c *Comm) Ibarrier() (*CollRequest, error) {
 		return nil, err
 	}
 	return &CollRequest{mpi: c.mpi, native: req}, nil
-}
-
-// WaitallColl completes a batch of non-blocking collectives as one
-// bindings call.
-func WaitallColl(reqs []*CollRequest) error {
-	var first error
-	charged := false
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		if !charged {
-			r.mpi.enterNative()
-			charged = true
-		}
-		if err := r.complete(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

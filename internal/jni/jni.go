@@ -5,8 +5,8 @@
 //
 //   - Get<Type>ArrayElements / Release<Type>ArrayElements: the
 //     JVM-documentation-recommended way to reach a Java array from C.
-//     On JVMs without pinning (all modern ones) it COPIES the array out
-//     and back, costing two memcpys plus the call crossings.
+//     It COPIES the array out and back (isCopy=true, as on every JVM
+//     the paper measures), costing two memcpys plus the call crossings.
 //   - GetPrimitiveArrayCritical / ReleasePrimitiveArrayCritical: a
 //     zero-copy view, but garbage collection is disabled while the
 //     region is open — the hazard that makes it "not recommended".
@@ -58,25 +58,15 @@ const (
 	Abort
 )
 
-// Stats counts boundary activity for one Env.
-//
-// The first five counters are part of the deterministic artifact
-// surface (core/observe scrapes them into the metrics registry), so
-// they advance identically on pinning and non-pinning JVMs: a pinned
-// Get/Release pair still counts as ArrayCopyOut/ArrayCopyBack with the
-// same CopiedBytes, because those model what the JNI *contract*
-// charges, not what the host executed. ArraysPinned is host-side
-// bookkeeping only.
+// Stats counts boundary activity for one Env. Every counter is part of
+// the deterministic artifact surface: core/observe scrapes them into
+// the metrics registry.
 type Stats struct {
 	Calls          int64
 	ArrayCopyOut   int64
 	ArrayCopyBack  int64
 	CopiedBytes    int64
 	CriticalEnters int64
-	// ArraysPinned counts Get<Type>ArrayElements calls served by
-	// pinning the array instead of copying it (isCopy=false). Never
-	// scraped into the deterministic registry.
-	ArraysPinned int64
 }
 
 // Env is one rank's JNI environment.
@@ -86,15 +76,12 @@ type Env struct {
 	stats Stats
 }
 
-// New builds an Env over machine m with default costs.
-func New(m *jvm.Machine) *Env { return NewWithCosts(m, DefaultCosts()) }
-
-// NewWithCosts builds an Env with an explicit cost model.
-func NewWithCosts(m *jvm.Machine, c Costs) *Env {
+// New builds an Env over machine m with the default costs.
+func New(m *jvm.Machine) *Env {
 	if m == nil {
 		panic("jni: nil machine")
 	}
-	return &Env{m: m, costs: c}
+	return &Env{m: m, costs: DefaultCosts()}
 }
 
 // Machine returns the JVM this environment belongs to.
@@ -112,21 +99,10 @@ func (e *Env) cross() {
 // crossing charge. The bindings call it once per MPI primitive.
 func (e *Env) CallNative() { e.cross() }
 
-// GetArrayElements returns the array's contents for native use,
-// charging the crossing, the fixed get cost, and a bulk copy of the
-// whole payload — the full-array copy the paper points out is paid
-// even when only a subset is needed.
-//
-// On JVMs without pinning support (the default, and all the JVMs the
-// paper measures) the returned slice is a fresh native copy. On a
-// pinning JVM (jvm.Options.AllowPinning) the call pins the array and
-// returns its actual storage — the isCopy=false case the JNI spec
-// permits — eliding the host memcpy in each direction. The virtual
-// cost model and the deterministic Stats counters are IDENTICAL on
-// both kinds of machine: real JNI implementations charge the access
-// either way, and keeping the charges equal is what lets the metrics
-// goldens hold regardless of host-side data movement (the same
-// invariant the zero-copy rendezvous path obeys; see DESIGN.md).
+// GetArrayElements returns a fresh native copy of the array's contents
+// (isCopy=true), charging the crossing, the fixed get cost, and a bulk
+// copy of the whole payload — the full-array copy the paper points out
+// is paid even when only a subset is needed.
 func (e *Env) GetArrayElements(a jvm.Array) []byte {
 	e.cross()
 	e.m.Charge(e.costs.GetElementsFixed)
@@ -134,23 +110,14 @@ func (e *Env) GetArrayElements(a jvm.Array) []byte {
 	e.m.ChargeBulk(n)
 	e.stats.ArrayCopyOut++
 	e.stats.CopiedBytes += int64(n)
-	if n > 0 && e.m.CanPin() {
-		if err := e.m.Pin(a.Ref()); err == nil {
-			e.stats.ArraysPinned++
-			return a.RawBytes()
-		}
-	}
 	out := make([]byte, n)
 	copy(out, a.RawBytes())
 	return out
 }
 
 // ReleaseArrayElements completes the array-elements pair: unless mode
-// is Abort, the contents are committed back into the array, charging
-// another bulk copy. If elems aliases the array's own storage (the
-// pinning path of GetArrayElements), the host copy-back is elided and
-// the pin is released — except under Commit, which keeps the native
-// view valid and therefore keeps the array pinned.
+// is Abort, the native copy is committed back into the array, charging
+// another bulk copy.
 func (e *Env) ReleaseArrayElements(a jvm.Array, elems []byte, mode ReleaseMode) {
 	if len(elems) != a.SizeBytes() {
 		panic(fmt.Sprintf("jni: ReleaseArrayElements length %d != array %d bytes",
@@ -158,20 +125,11 @@ func (e *Env) ReleaseArrayElements(a jvm.Array, elems []byte, mode ReleaseMode) 
 	}
 	e.cross()
 	e.m.Charge(e.costs.ReleaseElementsFixed)
-	raw := a.RawBytes()
-	pinned := len(elems) > 0 && len(raw) > 0 && &elems[0] == &raw[0]
 	if mode != Abort {
-		if !pinned {
-			copy(raw, elems)
-		}
+		copy(a.RawBytes(), elems)
 		e.m.ChargeBulk(len(elems))
 		e.stats.ArrayCopyBack++
 		e.stats.CopiedBytes += int64(len(elems))
-	}
-	if pinned && mode != Commit {
-		if err := e.m.Unpin(a.Ref()); err != nil {
-			panic(err)
-		}
 	}
 }
 

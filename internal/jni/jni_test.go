@@ -26,7 +26,7 @@ func TestGetArrayElementsCopies(t *testing.T) {
 	// this is a copy, not a pinned pointer.
 	elems[0] = 99
 	if a.Int(0) != 11 {
-		t.Fatal("GetArrayElements returned an aliased view; must copy on non-pinning JVMs")
+		t.Fatal("GetArrayElements returned an aliased view; it must copy")
 	}
 	e.ReleaseArrayElements(a, elems, CopyBack)
 	if a.Int(0) != 99 {

@@ -6,7 +6,7 @@ import "fmt"
 // heap. Element access goes through accessors that charge the array
 // cost model; the raw payload is reachable only via RawBytes, whose
 // validity ends at the next collection — the property that forces the
-// JNI layer to copy or pin.
+// JNI layer to copy, or to hold off the collector in a critical region.
 //
 // Index errors panic, mirroring Java's ArrayIndexOutOfBoundsException
 // being an unchecked throw.

@@ -148,7 +148,7 @@ func TestElementAccessCostsCharged(t *testing.T) {
 		a.SetInt(i, int64(i))
 	}
 	writeCost := clock.Now().Sub(start)
-	want := vtime.PerElement(1000, m.Costs().ArrayWrite)
+	want := vtime.PerElement(1000, DefaultCosts().ArrayWrite)
 	if writeCost != want {
 		t.Fatalf("1000 array writes charged %v, want %v", writeCost, want)
 	}

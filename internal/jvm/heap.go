@@ -42,7 +42,6 @@ type objSlot struct {
 	live  bool
 	kind  Kind
 	elems int
-	pins  int // open pin count; pinned objects do not move during GC
 }
 
 // Stats aggregates allocator and collector activity for one machine.
@@ -54,14 +53,6 @@ type Stats struct {
 	Collections    int64
 	BytesMoved     int64
 	GCPause        vtime.Duration
-	// PinnedBytes/PinnedPeak track the immovable-object footprint
-	// opened through Pin — the JVM-side analogue of the runtime's
-	// pin-down registration cache: memory exposed to native transfers
-	// (JNI no-copy access, RDMA placement) must hold its address, and
-	// this is how much of the heap is currently exempt from compaction.
-	// Nested pins on one object count its size once.
-	PinnedBytes int64
-	PinnedPeak  int64
 }
 
 // Options configures a Machine.
@@ -74,16 +65,6 @@ type Options struct {
 	// ArenaSize is the off-heap direct-buffer arena capacity. Zero
 	// selects the 16 MiB default.
 	ArenaSize int
-	// Costs overrides the access cost model; the zero value selects
-	// DefaultCosts.
-	Costs *AccessCosts
-	// AllowPinning models a JVM whose collector supports object
-	// pinning (e.g. region-based collectors that can exempt a region
-	// from evacuation). When set, JNI Get<Type>ArrayElements may return
-	// a pointer to the actual array storage instead of a copy — the
-	// possibility the JNI spec leaves open via isCopy. Default JVMs do
-	// not pin, matching the paper's "all modern JVMs copy" observation.
-	AllowPinning bool
 }
 
 // Machine is one simulated JVM instance. Each MPI rank owns exactly
@@ -100,7 +81,6 @@ type Machine struct {
 	critical  int
 	pendingGC bool
 	arena     *arena
-	allowPin  bool
 	stats     Stats
 	gcObs     func(liveBytes int, start, end vtime.Time)
 }
@@ -128,66 +108,16 @@ func NewMachine(clock *vtime.Clock, opts Options) *Machine {
 	if heapSize < 0 || arenaSize < 0 {
 		panic(fmt.Sprintf("jvm: negative sizes heap=%d arena=%d", heapSize, arenaSize))
 	}
-	costs := DefaultCosts()
-	if opts.Costs != nil {
-		costs = *opts.Costs
-	}
 	return &Machine{
-		clock:    clock,
-		costs:    costs,
-		heap:     takeStorage(heapSize),
-		arena:    newArena(arenaSize),
-		allowPin: opts.AllowPinning,
+		clock: clock,
+		costs: DefaultCosts(),
+		heap:  takeStorage(heapSize),
+		arena: newArena(arenaSize),
 	}
-}
-
-// CanPin reports whether this JVM's collector supports object pinning
-// (Options.AllowPinning). On such machines Pin/Unpin bracket a region
-// during which the object's storage is guaranteed not to move.
-func (m *Machine) CanPin() bool { return m.allowPin }
-
-// Pin marks r's object immovable until the matching Unpin. Pins nest.
-// It fails on machines whose collector does not support pinning and on
-// stale references.
-func (m *Machine) Pin(r Ref) error {
-	if !m.allowPin {
-		return errors.New("jvm: collector does not support pinning")
-	}
-	s, err := m.slot(r)
-	if err != nil {
-		return err
-	}
-	s.pins++
-	if s.pins == 1 {
-		m.stats.PinnedBytes += int64(s.size)
-		if m.stats.PinnedBytes > m.stats.PinnedPeak {
-			m.stats.PinnedPeak = m.stats.PinnedBytes
-		}
-	}
-	return nil
-}
-
-// Unpin releases one pin on r's object.
-func (m *Machine) Unpin(r Ref) error {
-	s, err := m.slot(r)
-	if err != nil {
-		return err
-	}
-	if s.pins == 0 {
-		panic("jvm: Unpin without Pin")
-	}
-	s.pins--
-	if s.pins == 0 {
-		m.stats.PinnedBytes -= int64(s.size)
-	}
-	return nil
 }
 
 // Clock returns the rank clock this machine charges.
 func (m *Machine) Clock() *vtime.Clock { return m.clock }
-
-// Costs returns the access cost model in effect.
-func (m *Machine) Costs() AccessCosts { return m.costs }
 
 // Stats returns a snapshot of allocator/collector counters.
 func (m *Machine) Stats() Stats { return m.stats }
@@ -263,7 +193,7 @@ func (m *Machine) slot(r Ref) (*objSlot, error) {
 
 // payload returns the current backing bytes of r. The slice aliases
 // the heap and is invalidated by the next collection — exactly the
-// property that forces JNI to copy (or pin) Java arrays.
+// property that forces JNI to copy Java arrays.
 func (m *Machine) payload(r Ref) ([]byte, error) {
 	s, err := m.slot(r)
 	if err != nil {
@@ -277,12 +207,6 @@ func (m *Machine) discard(r Ref) error {
 	s, err := m.slot(r)
 	if err != nil {
 		return err
-	}
-	if s.pins > 0 {
-		// Discarding a pinned object means native code still holds its
-		// storage — the use-after-free JNI's copy semantics exist to
-		// prevent. A loud stop beats silent corruption.
-		panic("jvm: discard of pinned object")
 	}
 	s.live = false
 	m.liveBytes -= s.size
@@ -327,14 +251,6 @@ func (m *Machine) GC() error {
 	moved := int64(0)
 	for _, i := range order {
 		s := &m.slots[i]
-		if s.pins > 0 {
-			// Pinned objects hold their addresses; compaction resumes
-			// past them. Processing in address order keeps dst <= s.off
-			// for every unpinned slot (objects only slide down), so the
-			// copy below never overlaps a pinned region.
-			dst = s.off + s.size
-			continue
-		}
 		if s.off != dst {
 			copy(m.heap[dst:dst+s.size], m.heap[s.off:s.off+s.size])
 			moved += int64(s.size)

@@ -96,14 +96,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Mean returns the average sample (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Registry accumulates metrics from all ranks.
 type Registry struct {
 	mu       sync.Mutex

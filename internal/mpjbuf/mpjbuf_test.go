@@ -62,8 +62,8 @@ func TestPoolAvoidsAllocateDirectCost(t *testing.T) {
 	}
 	hit := clock.Now().Sub(t0)
 	b2.Free()
-	if hit >= m.Costs().AllocDirect {
-		t.Fatalf("pool hit cost %v should be far below AllocateDirect %v", hit, m.Costs().AllocDirect)
+	if hit >= jvm.DefaultCosts().AllocDirect {
+		t.Fatalf("pool hit cost %v should be far below AllocateDirect %v", hit, jvm.DefaultCosts().AllocDirect)
 	}
 }
 

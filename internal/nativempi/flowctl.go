@@ -45,7 +45,7 @@ import (
 //
 // When credit runs out the sender parks in VIRTUAL time: it polls for
 // the freeing grant on an exponential receiver-not-ready schedule
-// (RetransmitRTO, then ×RetransmitBackoff per probe, like the RTO
+// (retransmitRTO, then ×retransmitBackoff per probe, like the RTO
 // ladder) and resumes at the first probe instant at or after the
 // grant's arrival. The wait is charged to the sender's clock as a
 // KindFlow span — real stall time, accounted like retransmission waits
@@ -157,7 +157,7 @@ func (p *Proc) fcChargeSend(dst int) {
 //
 // The park models the library's receiver-not-ready loop: the CPU
 // probes for returned credit at exponentially backed-off instants
-// (RetransmitRTO, ×RetransmitBackoff per probe — the RTO ladder reused
+// (retransmitRTO, ×retransmitBackoff per probe — the RTO ladder reused
 // as the RNR ladder) and the send resumes at the first probe at or
 // after the freeing grant arrived. Packets dispatched while parked are
 // processed normally — none of those paths read this rank's paused
@@ -186,14 +186,14 @@ func (p *Proc) fcWaitCredit(dst int) {
 		grantAt = at
 	}
 	resume := parkStart
-	wait := p.w.prof.RetransmitRTO
+	wait := retransmitRTO
 	for {
 		resume = resume.Add(wait)
 		if resume >= grantAt {
 			break
 		}
 		if wait < maxRNRWait {
-			wait *= vtime.Duration(p.w.prof.RetransmitBackoff)
+			wait *= retransmitBackoff
 		}
 	}
 	p.clock.AdvanceTo(resume)

@@ -413,13 +413,9 @@ func TestProfileValidate(t *testing.T) {
 		{EagerCredits: 4, CreditBatch: 5}, // batch exceeds credits: grant starvation
 		{UnexpectedQueueBytes: -1},
 		{UnexpectedQueueBytes: 4096}, // bound without flow control
-		{RetransmitRTO: -vtime.Microsecond},
-		{RetransmitBackoff: -1},
-		{MaxRetransmits: -1},
 		{EagerIntra: -1},
 		{EagerInter: -1},
 		{RDMAThreshold: 8192, EagerInter: 16 << 10}, // RDMA below eager limit
-		{HeartbeatPeriod: -vtime.Microsecond},
 	}
 	for i, pr := range bad {
 		err := pr.Validate()

@@ -23,7 +23,7 @@ import (
 //     half-open rendezvous whose fate depends on host scheduling.
 //   - The death fans out as failure-notice packets carrying a
 //     virtual-time heartbeat verdict: peers suspect the silence after
-//     Profile.SuspectBeats missed beats and confirm it one beat
+//     suspectBeats missed beats and confirm it one beat
 //     later. Pending operations toward the dead rank fail at confirm
 //     time with ErrProcFailed — survivors blocked in matched receives
 //     or collectives wake instead of deadlocking.
@@ -71,9 +71,6 @@ type rankCrash struct {
 // before Run.
 func (w *World) EnableFT() { w.ft = true }
 
-// FTEnabled reports whether the ULFM policy is active.
-func (w *World) FTEnabled() bool { return w.ft }
-
 // FailedRanks returns the world ranks that have died, ascending.
 func (w *World) FailedRanks() []int {
 	w.failMu.Lock()
@@ -90,15 +87,11 @@ func (w *World) FailedRanks() []int {
 	return out
 }
 
-// DeadLetters reports how many payload packets were drained from dead
-// ranks' mailboxes after the run (see drainPending).
-func (w *World) DeadLetters() int64 { return w.deadLetters }
-
 // confirmTime maps a death instant to the virtual time survivors
-// confirm it: SuspectBeats missed heartbeats to suspect, one more to
+// confirm it: suspectBeats missed heartbeats to suspect, one more to
 // confirm.
 func (w *World) confirmTime(deathAt vtime.Time) vtime.Time {
-	return deathAt.Add(vtime.Duration(w.prof.SuspectBeats+1) * w.prof.HeartbeatPeriod)
+	return deathAt.Add((suspectBeats + 1) * heartbeatPeriod)
 }
 
 // markDead registers a death and fans the detector verdict out to
@@ -160,7 +153,7 @@ func (w *World) revokeTime(group []int, fallback vtime.Time) vtime.Time {
 		}
 	}
 	if base == 0 {
-		return fallback.Add(w.prof.HeartbeatPeriod)
+		return fallback.Add(heartbeatPeriod)
 	}
 	return base
 }
@@ -247,7 +240,7 @@ func (p *Proc) handleFailNotice(pkt *packet) {
 	p.failedPeers[dead] = confirmAt
 	p.stats.PeerSuspects++
 	p.stats.PeerConfirms++
-	suspectAt := confirmAt.Add(-p.w.prof.HeartbeatPeriod)
+	suspectAt := confirmAt.Add(-heartbeatPeriod)
 	if p.w.rec != nil {
 		p.w.rec.Record(trace.Event{
 			Rank: p.rank, Kind: trace.KindDetect,

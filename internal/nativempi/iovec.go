@@ -82,8 +82,8 @@ func Contig(b []byte) Payload { return Payload{b: b} }
 func Strided(v *IOVec) Payload { return Payload{iov: v} }
 
 // Bytes is the contiguous view the []byte-taking native calls
-// (collectives, RMA, intercommunicators) consume; nil for a strided
-// payload, which only the point-to-point Payload entries accept.
+// (collectives, RMA) consume; nil for a strided payload, which only the
+// point-to-point Payload entries accept.
 func (pl Payload) Bytes() []byte { return pl.b }
 
 // size is the payload byte count (holes excluded).

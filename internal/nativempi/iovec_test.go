@@ -2,10 +2,7 @@ package nativempi
 
 import (
 	"bytes"
-	"strings"
 	"testing"
-
-	"mv2j/internal/vtime"
 )
 
 func iovecMustPanic(t *testing.T, what string, fn func()) {
@@ -169,27 +166,5 @@ func TestVecCopyTruncates(t *testing.T) {
 	}
 	if moved := dst.copyFrom(Payload{}); moved != 0 {
 		t.Errorf("copyFrom from the empty payload moved %d", moved)
-	}
-}
-
-// TestProfileValidateDDTKnobs pins the Validate rejections for the
-// derived-datatype profile knobs.
-func TestProfileValidateDDTKnobs(t *testing.T) {
-	base := Profile{Name: "t"}
-	if err := base.Validate(); err != nil {
-		t.Fatalf("baseline profile invalid: %v", err)
-	}
-
-	bad := base
-	bad.DDTPackRun = -vtime.Nanosecond
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "DDTPackRun") {
-		t.Errorf("negative DDTPackRun: err = %v", err)
-	}
-
-	good := base
-	good.FramedDatapath = true
-	good.DDTPackRun = 20 * vtime.Nanosecond
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid DDT knobs rejected: %v", err)
 	}
 }

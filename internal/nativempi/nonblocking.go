@@ -385,17 +385,3 @@ func (c *Comm) Ireduce(sendBuf, recvBuf []byte, kind jvm.Kind, op Op, root int) 
 	r.start()
 	return r, nil
 }
-
-// WaitallColl completes a set of non-blocking collectives.
-func WaitallColl(reqs []*CollRequest) error {
-	var first error
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		if err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

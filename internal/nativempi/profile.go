@@ -212,6 +212,42 @@ func (t Table[A]) validate(coll string) error {
 	return nil
 }
 
+// The runtime's fixed model values. No profile, command, example or
+// workload varies them, so each is a constant with its provenance;
+// Profile carries only what a caller sets. "Assumption" marks a value
+// that no measurement calibrates.
+const (
+	// Reliability sublayer (fault plans only): the first ack timeout,
+	// multiplied per unacknowledged attempt; after maxRetransmits
+	// attempts the peer is declared failed (MPI_Abort, or
+	// ErrProcFailed under fault tolerance).
+	retransmitRTO     = 25 * vtime.Microsecond // assumption: well above a small-message round trip
+	retransmitBackoff = 2                      // assumption: the classic exponential doubling
+	maxRetransmits    = 12                     // assumption: ~100 ms of waiting before a peer is failed
+
+	// Failure detector (fault-tolerant worlds only): a silent peer is
+	// suspected after suspectBeats missed heartbeats and confirmed dead
+	// one beat later, charged to virtual clocks.
+	heartbeatPeriod = 20 * vtime.Microsecond // assumption: on the order of the retransmission timeout
+	suspectBeats    = 3                      // assumption: tolerates two late beats
+
+	// Pin-down registration cache (MVAPICH2's regcache): capacity in
+	// entries and bytes, LRU eviction, and the driver/NIC cost of a
+	// registration and a deregistration; then the chunk one-sided
+	// operations are staged in when the RDMA channel is off.
+	regCacheEntries = 128                    // assumption: an MVAPICH2-scale cache
+	regCacheBytes   = 64 << 20               // assumption: as regCacheEntries
+	registerBase    = 5 * vtime.Microsecond  // pin-down cost, MPICH2 over InfiniBand (PAPERS.md)
+	registerPerPage = 200 * vtime.Nanosecond // per-4-KiB-page pin cost, MPICH2 over InfiniBand (PAPERS.md)
+	deregisterBase  = 2 * vtime.Microsecond  // unpin cost, MPICH2 over InfiniBand (PAPERS.md)
+	rdmaStageChunk  = 16 << 10               // chunk of the staged one-sided fallback when RDMA is off; assumption
+
+	// Datatypes and threads.
+	ddtPackRun          = 15 * vtime.Nanosecond  // per-run CPU cost of packing a strided eager payload; assumption
+	lockArbitrationCost = 150 * vtime.Nanosecond // contended entry-lock hand-off under MPI_THREAD_MULTIPLE; assumption
+	injectEndpoints     = 4                      // NIC send queues MULTIPLE threads fan out over; assumption
+)
+
 // Profile is a native library's tuning personality: software overheads
 // layered on the raw fabric costs, protocol thresholds, and collective
 // algorithm selection. internal/profile provides the MVAPICH2-like and
@@ -241,16 +277,6 @@ type Profile struct {
 	// bytes/second for reduction computation.
 	ReduceBandwidth float64
 
-	// Reliability sublayer tuning, engaged only when a fault plan is
-	// attached to the fabric. RetransmitRTO is the initial ack timeout;
-	// each unacknowledged attempt multiplies it by RetransmitBackoff
-	// (exponential backoff). After MaxRetransmits attempts without an
-	// ack the peer is declared failed and the job aborts (the
-	// MPI_Abort escalation path, instead of deadlocking).
-	RetransmitRTO     vtime.Duration
-	RetransmitBackoff int
-	MaxRetransmits    int
-
 	// FramedDatapath pins the rendezvous data phase to the framed
 	// wire-image leg: the sender gathers the payload into a pooled wire
 	// buffer and the receiver copies it out — two host memcpys, no
@@ -272,7 +298,7 @@ type Profile struct {
 	// (an RDMA write issued after the RTS/CTS key exchange) instead of a
 	// receiver-side DATA landing: both endpoints register their buffers
 	// — cost charged to virtual time, amortized by the pin-down
-	// registration cache below — and the completion bypasses the
+	// registration cache (regcache.go) — and the completion bypasses the
 	// receiver's protocol stack (fabric.Params.RDMAFinOverhead replaces
 	// RecvOverhead plus software receive overhead). A rendezvous BELOW
 	// the threshold is also promoted to RDMA when the sender's buffer is
@@ -284,38 +310,6 @@ type Profile struct {
 	// retransmitted, and a failure sweep could orphan a remote key.
 	RDMAThreshold int
 
-	// DDTPackRun is the per-run CPU cost of packing (or unpacking) a
-	// non-contiguous EAGER payload: the eager tier always materialises a
-	// contiguous wire image, and the CPU pays this much for each run
-	// boundary beyond the first — zero for contiguous messages, so
-	// existing clocks are untouched. Rendezvous-tier gathers are
-	// NIC-offloaded and charge nothing per run. Protocol-level (every
-	// host datapath leg charges it identically); zero selects 15 ns.
-	DDTPackRun vtime.Duration
-
-	// Pin-down registration-cache economics (MVAPICH2's regcache). The
-	// cache holds up to RegCacheEntries buffer registrations totalling
-	// at most RegCacheBytes; exceeding either evicts the least recently
-	// used unpinned entry, charging DeregisterBase. A registration
-	// (cache miss) costs RegisterBase plus RegisterPerPage per 4 KiB
-	// page — the driver/NIC pinning cost Liu et al. measure. Zero
-	// values select the defaults (128 entries, 64 MiB, 5 µs, 200 ns,
-	// 2 µs).
-	RegCacheEntries int
-	RegCacheBytes   int64
-	RegisterBase    vtime.Duration
-	RegisterPerPage vtime.Duration
-	DeregisterBase  vtime.Duration
-
-	// RDMAStageChunk is the pipeline chunk size of the NON-RDMA
-	// large-message fallback for one-sided operations: when the RDMA
-	// protocol is unavailable (disabled, faults, FT), a large Put/Get/
-	// Accumulate is staged through send/recv machinery in chunks of
-	// this size, paying per-chunk CPU overheads at both ends — the
-	// honest cost the RDMA channel exists to avoid. Zero selects the
-	// 16 KiB default.
-	RDMAStageChunk int
-
 	// Credit-based eager flow control (MVAPICH2's RC-channel credit
 	// scheme). EagerCredits is the per-peer budget of eager messages a
 	// sender may have outstanding — injected but not yet consumed by a
@@ -323,7 +317,7 @@ type Profile struct {
 	// flow control entirely: eager senders inject without limit, as
 	// before. When positive, a sender that exhausts its budget parks in
 	// virtual time with exponential receiver-not-ready backoff (polling
-	// at RetransmitRTO, RetransmitRTO*Backoff, ...) until the receiver
+	// at retransmitRTO, ×retransmitBackoff per probe) until the receiver
 	// returns credit. Credits travel back piggybacked on every frame
 	// the receiver sends toward the sender (payloads and reliability
 	// acks alike); CreditBatch bounds the staleness for one-sided
@@ -353,31 +347,6 @@ type Profile struct {
 	// ThreadMultiple (the variant a Java-HPC deployment builds with).
 	ThreadLevel ThreadLevel
 
-	// LockArbitrationCost is the virtual CPU cost a thread pays each
-	// time it acquires the library's coarse entry lock while another
-	// thread's critical section is still in flight — the MPICH-style
-	// global-lock arbitration that bounds MPI_THREAD_MULTIPLE message
-	// rates. Charged only on contended entries, so single-threaded
-	// programs (and uncontended multithreaded ones) are byte-identical
-	// with the cost set or not. Zero selects 150 ns.
-	LockArbitrationCost vtime.Duration
-
-	// InjectEndpoints is the number of independent injection resources
-	// (NIC send queues) a rank fans its threads over under
-	// MPI_THREAD_MULTIPLE — fewer endpoints than threads means sends
-	// from different threads still serialize on shared hardware. Zero
-	// selects 4; single-threaded execution always uses one.
-	InjectEndpoints int
-
-	// Failure-detector tuning (fault-tolerant worlds only). Every rank
-	// conceptually heartbeats every HeartbeatPeriod; a silent peer is
-	// suspected after SuspectBeats missed beats and confirmed dead one
-	// beat later. Like ack timing, the detector is charged to virtual
-	// clocks: survivors learn of a death (and their pending operations
-	// toward it fail) at confirm time, never instantaneously.
-	HeartbeatPeriod vtime.Duration
-	SuspectBeats    int
-
 	// Collective algorithm choice. Bcast and Allreduce depend on payload
 	// and communicator size, so each is a first-match Table; an empty
 	// table selects the default (see normalize). Gather and Scatter are
@@ -396,15 +365,6 @@ func (pr Profile) normalize() Profile {
 	if pr.ReduceBandwidth <= 0 {
 		pr.ReduceBandwidth = 8e9
 	}
-	if pr.RetransmitRTO <= 0 {
-		pr.RetransmitRTO = 25 * vtime.Microsecond
-	}
-	if pr.RetransmitBackoff < 2 {
-		pr.RetransmitBackoff = 2
-	}
-	if pr.MaxRetransmits < 1 {
-		pr.MaxRetransmits = 12
-	}
 	if pr.EagerCredits > 0 {
 		if pr.CreditBatch <= 0 {
 			pr.CreditBatch = max(1, pr.EagerCredits/2)
@@ -416,41 +376,8 @@ func (pr Profile) normalize() Profile {
 	if pr.ThreadLevel == 0 {
 		pr.ThreadLevel = ThreadMultiple
 	}
-	if pr.LockArbitrationCost <= 0 {
-		pr.LockArbitrationCost = 150 * vtime.Nanosecond
-	}
-	if pr.InjectEndpoints <= 0 {
-		pr.InjectEndpoints = 4
-	}
-	if pr.HeartbeatPeriod <= 0 {
-		pr.HeartbeatPeriod = 20 * vtime.Microsecond
-	}
-	if pr.SuspectBeats < 1 {
-		pr.SuspectBeats = 3
-	}
 	if pr.RDMAThreshold == 0 {
 		pr.RDMAThreshold = 256 << 10
-	}
-	if pr.RegCacheEntries <= 0 {
-		pr.RegCacheEntries = 128
-	}
-	if pr.RegCacheBytes <= 0 {
-		pr.RegCacheBytes = 64 << 20
-	}
-	if pr.RegisterBase <= 0 {
-		pr.RegisterBase = 5 * vtime.Microsecond
-	}
-	if pr.RegisterPerPage <= 0 {
-		pr.RegisterPerPage = 200 * vtime.Nanosecond
-	}
-	if pr.DeregisterBase <= 0 {
-		pr.DeregisterBase = 2 * vtime.Microsecond
-	}
-	if pr.RDMAStageChunk <= 0 {
-		pr.RDMAStageChunk = 16 << 10
-	}
-	if pr.DDTPackRun <= 0 {
-		pr.DDTPackRun = 15 * vtime.Nanosecond
 	}
 	if pr.Bcast == (BcastTable{}) {
 		pr.Bcast = BcastTable{
@@ -496,15 +423,6 @@ func (pr Profile) Validate() error {
 	if pr.EagerCredits == 0 && pr.UnexpectedQueueBytes > 0 {
 		return fmt.Errorf("profile %q: UnexpectedQueueBytes %d set but flow control is off (EagerCredits 0)", pr.Name, pr.UnexpectedQueueBytes)
 	}
-	if pr.RetransmitRTO < 0 {
-		return fmt.Errorf("profile %q: RetransmitRTO %v is negative (0 selects the default); the reliability and RNR timers need a positive period", pr.Name, pr.RetransmitRTO)
-	}
-	if pr.RetransmitBackoff < 0 {
-		return fmt.Errorf("profile %q: RetransmitBackoff %d is negative", pr.Name, pr.RetransmitBackoff)
-	}
-	if pr.MaxRetransmits < 0 {
-		return fmt.Errorf("profile %q: MaxRetransmits %d is negative", pr.Name, pr.MaxRetransmits)
-	}
 	if pr.EagerIntra < 0 || pr.EagerInter < 0 {
 		return fmt.Errorf("profile %q: negative eager threshold (intra %d, inter %d)", pr.Name, pr.EagerIntra, pr.EagerInter)
 	}
@@ -514,29 +432,9 @@ func (pr Profile) Validate() error {
 				pr.Name, pr.RDMAThreshold, lim)
 		}
 	}
-	if pr.HeartbeatPeriod < 0 {
-		return fmt.Errorf("profile %q: HeartbeatPeriod %v is negative", pr.Name, pr.HeartbeatPeriod)
-	}
 	if pr.ThreadLevel < 0 || pr.ThreadLevel > ThreadMultiple {
 		return fmt.Errorf("profile %q: ThreadLevel %d is not a threading level (0 selects MULTIPLE; valid: %d..%d)",
 			pr.Name, pr.ThreadLevel, ThreadSingle, ThreadMultiple)
-	}
-	if pr.LockArbitrationCost < 0 {
-		return fmt.Errorf("profile %q: LockArbitrationCost %v is negative (0 selects the default)", pr.Name, pr.LockArbitrationCost)
-	}
-	if pr.ThreadLevel == ThreadSingle && pr.LockArbitrationCost > 0 {
-		return fmt.Errorf("profile %q: LockArbitrationCost %v set but ThreadLevel is SINGLE; a single-threaded build has no entry lock to arbitrate",
-			pr.Name, pr.LockArbitrationCost)
-	}
-	if pr.InjectEndpoints < 0 {
-		return fmt.Errorf("profile %q: InjectEndpoints %d is negative (0 selects the default)", pr.Name, pr.InjectEndpoints)
-	}
-	if pr.InjectEndpoints > 1 && pr.ThreadLevel >= ThreadSingle && pr.ThreadLevel < ThreadMultiple {
-		return fmt.Errorf("profile %q: InjectEndpoints %d needs ThreadLevel MULTIPLE (got %v); below it at most one thread injects at a time",
-			pr.Name, pr.InjectEndpoints, pr.ThreadLevel)
-	}
-	if pr.DDTPackRun < 0 {
-		return fmt.Errorf("profile %q: DDTPackRun %v is negative (0 selects the default)", pr.Name, pr.DDTPackRun)
 	}
 	if err := pr.Bcast.validate("bcast"); err != nil {
 		return fmt.Errorf("profile %q: %w", pr.Name, err)

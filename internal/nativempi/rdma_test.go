@@ -414,17 +414,22 @@ func FuzzRDMAEquivalence(f *testing.F) {
 		size := int(rawSize%(256<<10)) + 1
 		eager := int(rawEager % (64 << 10)) // 0 = fabric default
 		prof := Profile{
-			RDMAThreshold:   int(rawThresh%(320<<10)) - 1, // -1 disables the protocol
-			RegCacheEntries: int(rawCache % 9),            // 0 = default capacity
-			EagerInter:      eager,
-			EagerIntra:      eager,
+			RDMAThreshold: int(rawThresh%(320<<10)) - 1, // -1 disables the protocol
+			EagerInter:    eager,
+			EagerIntra:    eager,
 		}
 		var plan *faults.Plan
 		if faulty {
 			plan = faults.Uniform(uint64(rawSize)^uint64(rawThresh)<<32, 0.05)
 		}
 		run := func(framed bool) zcArtifacts {
-			a, err := runZCWorkload(datapathWorld(2, 1, framed, plan, prof), size)
+			w := datapathWorld(2, 1, framed, plan, prof)
+			if entries := int(rawCache % 9); entries > 0 { // 0 = default capacity
+				for r := 0; r < w.Size(); r++ {
+					w.Proc(r).reg.maxEntries = entries
+				}
+			}
+			a, err := runZCWorkload(w, size)
 			if err != nil {
 				t.Fatal(err)
 			}

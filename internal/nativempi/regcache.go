@@ -70,8 +70,8 @@ func newRegCache(p *Proc) *regCache {
 	rc := &regCache{
 		p:          p,
 		entries:    map[*byte]*regEntry{},
-		maxEntries: p.w.prof.RegCacheEntries,
-		maxBytes:   p.w.prof.RegCacheBytes,
+		maxEntries: regCacheEntries,
+		maxBytes:   regCacheBytes,
 	}
 	rc.lru.prev = &rc.lru
 	rc.lru.next = &rc.lru
@@ -109,7 +109,6 @@ func (rc *regCache) acquireMode(buf []byte, at vtime.Time, lock bool) vtime.Dura
 	if n == 0 {
 		return 0
 	}
-	pr := &rc.p.w.prof
 	key := &buf[0]
 	if e, ok := rc.entries[key]; ok && e.n >= n {
 		rc.stats.Hits++
@@ -125,7 +124,7 @@ func (rc *regCache) acquireMode(buf []byte, at vtime.Time, lock bool) vtime.Dura
 		// must be torn down before the full range is pinned. Counted as
 		// a miss (the transfer could not ride the cache), not an
 		// eviction (no capacity pressure was involved).
-		cost += pr.DeregisterBase
+		cost += deregisterBase
 		lock = lock || e.locked
 		rc.remove(e)
 	}
@@ -136,14 +135,14 @@ func (rc *regCache) acquireMode(buf []byte, at vtime.Time, lock bool) vtime.Dura
 		if v == nil {
 			break // everything left is locked: over-subscribe rather than fail
 		}
-		cost += pr.DeregisterBase
+		cost += deregisterBase
 		rc.stats.Evictions++
 		rc.p.regCounter("reg_evicts")
-		rc.p.recordReg("evict", v.n, at.Add(cost-pr.DeregisterBase), at.Add(cost))
+		rc.p.recordReg("evict", v.n, at.Add(cost-deregisterBase), at.Add(cost))
 		rc.remove(v)
 	}
 	pages := (n + 4095) / 4096
-	reg := pr.RegisterBase + vtime.Duration(pages)*pr.RegisterPerPage
+	reg := registerBase + vtime.Duration(pages)*registerPerPage
 	rc.p.recordReg("register", n, at.Add(cost), at.Add(cost+reg))
 	cost += reg
 	e := &regEntry{key: key, buf: buf, n: n, locked: lock}

@@ -19,9 +19,8 @@ import (
 
 // refRegCache is the executable specification: entries live in a plain
 // slice ordered least → most recently used; every operation is a
-// linear scan. Costs use the profile's knobs via the same formulas.
+// linear scan. Costs use the same model constants and formulas.
 type refRegCache struct {
-	prof    *Profile
 	maxEnt  int
 	maxByte int64
 	order   []*refRegEntry // index 0 = LRU, last = MRU
@@ -70,7 +69,7 @@ func (rc *refRegCache) acquire(buf []byte, lock bool) vtime.Duration {
 	}
 	var cost vtime.Duration
 	if i := rc.find(key); i >= 0 {
-		cost += rc.prof.DeregisterBase
+		cost += deregisterBase
 		lock = lock || rc.order[i].locked
 		rc.bytes -= int64(rc.order[i].n)
 		rc.order = append(rc.order[:i:i], rc.order[i+1:]...)
@@ -87,13 +86,13 @@ func (rc *refRegCache) acquire(buf []byte, lock bool) vtime.Duration {
 		if vi < 0 {
 			break
 		}
-		cost += rc.prof.DeregisterBase
+		cost += deregisterBase
 		rc.evicts++
 		rc.bytes -= int64(rc.order[vi].n)
 		rc.order = append(rc.order[:vi:vi], rc.order[vi+1:]...)
 	}
 	pages := (n + 4095) / 4096
-	cost += rc.prof.RegisterBase + vtime.Duration(pages)*rc.prof.RegisterPerPage
+	cost += registerBase + vtime.Duration(pages)*registerPerPage
 	rc.order = append(rc.order, &refRegEntry{key: key, n: n, locked: lock})
 	rc.bytes += int64(n)
 	if rc.bytes > rc.peak {
@@ -111,15 +110,13 @@ func (rc *refRegCache) unlock(buf []byte) {
 	}
 }
 
-// regWorldKnobs builds a 1-rank world whose rank's cache runs with the
-// given capacity knobs, returning the rank's cache.
-func regWorldKnobs(entries int, capBytes int64) (*World, *regCache) {
+// regCacheCap builds a 1-rank world and returns its rank's cache, set
+// to the given capacity.
+func regCacheCap(entries int, capBytes int64) *regCache {
 	topo := cluster.New(1, 1)
-	w := NewWorld(topo, fabric.Default(topo), Profile{
-		RegCacheEntries: entries,
-		RegCacheBytes:   capBytes,
-	})
-	return w, w.Proc(0).reg
+	rc := NewWorld(topo, fabric.Default(topo), Profile{}).Proc(0).reg
+	rc.maxEntries, rc.maxBytes = entries, capBytes
+	return rc
 }
 
 // TestRegCacheReference drives 20 seeds × 2000 randomized steps of
@@ -134,8 +131,8 @@ func TestRegCacheReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			entries := 2 + rng.Intn(6)
 			capBytes := int64(16<<10) + int64(rng.Intn(64<<10))
-			w, rc := regWorldKnobs(entries, capBytes)
-			ref := &refRegCache{prof: &w.prof, maxEnt: entries, maxByte: capBytes}
+			rc := regCacheCap(entries, capBytes)
+			ref := &refRegCache{maxEnt: entries, maxByte: capBytes}
 
 			// Buffer pool: a dozen backing arrays of assorted sizes;
 			// each op registers a prefix slice, so the same base shows
@@ -188,14 +185,13 @@ func TestRegCacheReference(t *testing.T) {
 // TestRegCacheAccounting pins the hit/miss/evict economics on a
 // scripted sequence against hand-computed numbers.
 func TestRegCacheAccounting(t *testing.T) {
-	w, rc := regWorldKnobs(2, 1<<30) // entry-capacity pressure only
-	pr := &w.prof
+	rc := regCacheCap(2, 1<<30) // entry-capacity pressure only
 	a := make([]byte, 4096)
 	b := make([]byte, 8192)
 	c := make([]byte, 100)
 
 	regCost := func(n int) vtime.Duration {
-		return pr.RegisterBase + vtime.Duration((n+4095)/4096)*pr.RegisterPerPage
+		return registerBase + vtime.Duration((n+4095)/4096)*registerPerPage
 	}
 
 	if got := rc.acquire(a, 0); got != regCost(4096) {
@@ -208,11 +204,11 @@ func TestRegCacheAccounting(t *testing.T) {
 		t.Fatalf("second register: %v, want %v", got, regCost(8192))
 	}
 	// Third distinct buffer: capacity 2 forces an eviction of a (LRU).
-	if got, want := rc.acquire(c, 0), pr.DeregisterBase+regCost(100); got != want {
+	if got, want := rc.acquire(c, 0), deregisterBase+regCost(100); got != want {
 		t.Fatalf("evicting register: %v, want %v", got, want)
 	}
 	// a was evicted: re-acquiring is a miss (and evicts b).
-	if got, want := rc.acquire(a, 0), pr.DeregisterBase+regCost(4096); got != want {
+	if got, want := rc.acquire(a, 0), deregisterBase+regCost(4096); got != want {
 		t.Fatalf("re-register after evict: %v, want %v", got, want)
 	}
 	st := rc.stats
@@ -229,7 +225,7 @@ func TestRegCacheAccounting(t *testing.T) {
 	if rc.acquire(big[:4096], 0) != 0 {
 		t.Fatal("prefix re-acquire should hit")
 	}
-	if got, want := rc.acquire(big, 0), pr.DeregisterBase+regCost(16<<10); got != want {
+	if got, want := rc.acquire(big, 0), deregisterBase+regCost(16<<10); got != want {
 		t.Fatalf("grow: %v, want %v", got, want)
 	}
 	if rc.stats.Evictions != 3 {
@@ -245,7 +241,7 @@ func TestRegCacheAccounting(t *testing.T) {
 // the cache over-subscribes rather than evicting them, and unlock
 // restores eviction eligibility.
 func TestRegCacheLockedPinning(t *testing.T) {
-	_, rc := regWorldKnobs(2, 1<<30)
+	rc := regCacheCap(2, 1<<30)
 	win := make([]byte, 4096)
 	a := make([]byte, 4096)
 	b := make([]byte, 4096)
@@ -278,7 +274,7 @@ func TestRegCacheLockedPinning(t *testing.T) {
 // message, and an alloc there would tax exactly the traffic the cache
 // exists to speed up.
 func TestRegCacheHitAllocFree(t *testing.T) {
-	_, rc := regWorldKnobs(8, 1<<30)
+	rc := regCacheCap(8, 1<<30)
 	buf := make([]byte, 64<<10)
 	rc.acquire(buf, 0)
 	if avg := testing.AllocsPerRun(200, func() {

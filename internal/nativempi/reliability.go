@@ -30,7 +30,7 @@ import (
 // acknowledges accepted copies using the same coin flips, keeping both
 // sides of the protocol honest.
 //
-// A message still unacknowledged after Profile.MaxRetransmits attempts
+// A message still unacknowledged after maxRetransmits attempts
 // means the peer is unreachable. Without fault tolerance the sender
 // escalates to the MPI_Abort path (waking every blocked rank) instead
 // of deadlocking; in an FT world the same condition surfaces as an
@@ -133,7 +133,6 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 	stream := streamOf(pkt.kind)
 	seq := p.relSeqFor(dst, pkt, stream)
 	ch := p.channel(dst)
-	prof := &p.w.prof
 	fab := p.w.fab
 	wireTime := pkt.arriveAt.Sub(pkt.sentAt)
 	n := pkt.data.size()
@@ -143,9 +142,9 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 	// exactly the copies that reach the destination.
 	rel := p.rel
 	var settled int
-	rel.verdicts, settled = fab.BurstVerdicts(p.rank, dst, stream, seq, prof.MaxRetransmits, rel.verdicts[:0])
+	rel.verdicts, settled = fab.BurstVerdicts(p.rank, dst, stream, seq, maxRetransmits, rel.verdicts[:0])
 
-	rto := prof.RetransmitRTO
+	rto := retransmitRTO
 	sendT := pkt.sentAt
 	prevSendT := pkt.sentAt
 	lastSendT := pkt.sentAt
@@ -222,11 +221,11 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 		}
 		prevSendT = sendT
 		sendT = sendT.Add(rto)
-		rto *= vtime.Duration(prof.RetransmitBackoff)
+		rto *= retransmitBackoff
 	}
 	if settled < 0 {
 		reason := fmt.Sprintf("rank %d: peer %d unreachable: no ack for %v seq %d after %d attempts",
-			p.rank, dst, stream, seq, prof.MaxRetransmits)
+			p.rank, dst, stream, seq, maxRetransmits)
 		p.stats.PeerFailures++
 		p.recordRel(trace.KindFault, "peer-failure: "+reason, dst, n, sendT)
 		if p.w.ft {
@@ -239,7 +238,7 @@ func (p *Proc) reliablePost(dst int, pkt *packet) error {
 			if _, known := p.failedPeers[dst]; !known {
 				p.failedPeers[dst] = sendT
 			}
-			return fmt.Errorf("%w: rank %d unreachable after %d attempts", ErrProcFailed, dst, prof.MaxRetransmits)
+			return fmt.Errorf("%w: rank %d unreachable after %d attempts", ErrProcFailed, dst, maxRetransmits)
 		}
 		p.w.Abort(p.rank, reason)
 		panic(abortError{origin: p.rank, reason: reason})
@@ -321,14 +320,4 @@ func (p *Proc) handleAck(pkt *packet) {
 			fmt.Sprintf("%v seq=%d attempt=%d", pkt.relStream, pkt.relSeq, pkt.attempt),
 			pkt.src, aw.bytes, aw.sentAt, pkt.arriveAt)
 	}
-}
-
-// UnackedSends reports how many reliable sends are still awaiting
-// their acknowledgement packet (their delivery is already settled;
-// this is the in-flight ack view, exposed for tests and stats).
-func (p *Proc) UnackedSends() int {
-	if p.rel == nil {
-		return 0
-	}
-	return len(p.rel.await)
 }

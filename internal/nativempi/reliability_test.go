@@ -347,8 +347,7 @@ func TestWaitanyWaitsomeWithRetransmittedDuplicates(t *testing.T) {
 func TestAllDropsEscalateToAbort(t *testing.T) {
 	// A fully black-holed fabric must abort the job through the
 	// peer-failure path, not deadlock it.
-	prof := Profile{RetransmitRTO: 5 * vtime.Microsecond, MaxRetransmits: 3}
-	w := faultyWorld(2, 1, faults.Uniform(8, 1.0), prof)
+	w := faultyWorld(2, 1, faults.Uniform(8, 1.0), Profile{})
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
 		if p.Rank() == 0 {

@@ -143,7 +143,7 @@ func (w *Win) opRDMA(n, target int) bool {
 // channel — the origin registers its buffer (rdma true; cost already
 // charged by the caller for Get, charged here for Put/Accumulate) and
 // the transfer bypasses the target's CPU — or, when the protocol is
-// unavailable, pays the staged fallback: per-RDMAStageChunk CPU
+// unavailable, pays the staged fallback: per-rdmaStageChunk CPU
 // overheads at both ends, the pipelined copy cost an RDMA-less
 // library cannot avoid. nicAt, when non-zero, marks a NIC-served
 // reply (an RDMA read): the payload streams out at max(nicAt,
@@ -162,7 +162,7 @@ func (w *Win) injectRMA(target int, kind pktKind, meta int64, off int, data []by
 		if rdma && n > 0 {
 			p.clock.Advance(p.reg.acquire(data, p.clock.Now()))
 		} else if !rdma && n > p.eagerLimit(wdst) {
-			chunk := p.w.prof.RDMAStageChunk
+			chunk := rdmaStageChunk
 			p.clock.Advance(vtime.Duration((n-1)/chunk) * ch.SendOverhead)
 		}
 		start = vtime.Max(p.clock.Now(), p.nicFree)
@@ -255,7 +255,7 @@ func (w *Win) rmaLandCost(pkt *packet) vtime.Duration {
 		return ch.RDMAFinOverhead
 	}
 	n := pkt.data.size()
-	chunks := 1 + (n-1)/w.c.p.w.prof.RDMAStageChunk
+	chunks := 1 + (n-1)/rdmaStageChunk
 	if chunks < 1 {
 		chunks = 1
 	}

@@ -143,7 +143,7 @@ type threadGroup struct {
 	// lockFree is the virtual instant the library's entry lock was
 	// last released. An entry (or a reacquire after a condition wait)
 	// whose clock is behind it is contended: the thread advances to
-	// lockFree and pays LockArbitrationCost. Parking inside a call
+	// lockFree and pays lockArbitrationCost. Parking inside a call
 	// releases the lock, as the real progress engine's condition waits
 	// do.
 	lockFree vtime.Time
@@ -209,7 +209,7 @@ func (p *Proc) RunThreads(n int, fn func(tid int) error) error {
 	// endpoint tid % len(nicEp); below MULTIPLE at most one thread is
 	// inside the library at a time, so the single NIC slot stands.
 	if level == ThreadMultiple {
-		eps := min(p.w.prof.InjectEndpoints, n)
+		eps := min(p.w.injectEndpoints, n)
 		p.nicEp = p.nicEp[:0]
 		for i := 0; i < eps; i++ {
 			p.nicEp = append(p.nicEp, p.nicFree)
@@ -495,7 +495,7 @@ func (p *Proc) rankPop() *packet {
 // deterministically; under SERIALIZED a second thread entering while
 // another is inside a call does too. Under MULTIPLE a contended entry
 // advances the thread to the lock's release instant and charges
-// LockArbitrationCost — the coarse-lock tax that bounds thread-
+// lockArbitrationCost — the coarse-lock tax that bounds thread-
 // multiple message rates. Reentrant (csDepth tracks nesting, so a
 // public call composed of public calls arbitrates once).
 func (p *Proc) gateEnter() {
@@ -553,7 +553,7 @@ func (tg *threadGroup) arbitrate() {
 		return
 	}
 	p.clock.AdvanceTo(tg.lockFree)
-	p.clock.Advance(p.w.prof.LockArbitrationCost)
+	p.clock.Advance(p.w.lockArbitration)
 	end := p.clock.Now()
 	p.threadStats.Contended++
 	p.threadStats.ArbWaitPs += int64(end.Sub(start))
@@ -579,6 +579,3 @@ func (p *Proc) curEndpoint() int {
 	}
 	return p.tg.cur % len(p.nicEp)
 }
-
-// ThreadStatsSnapshot returns the rank's thread-multiplexer counters.
-func (p *Proc) ThreadStatsSnapshot() ThreadStats { return p.threadStats }

@@ -288,10 +288,10 @@ func mtWorkload(T int) func(p *Proc, out *[][]byte) error {
 // engine worker-pool widths (the host knobs most likely to perturb a
 // schedule-dependent implementation).
 func TestThreadMultipleDeterministic(t *testing.T) {
-	prof := Profile{ThreadLevel: ThreadMultiple, LockArbitrationCost: 200 * vtime.Nanosecond}
 	run := func(workers int) thrArtifacts {
 		t.Helper()
-		w := thrWorld(2, 2, prof)
+		w := thrWorld(2, 2, Profile{ThreadLevel: ThreadMultiple})
+		w.lockArbitration = 200 * vtime.Nanosecond
 		w.SetEngineWorkers(workers)
 		a, err := captureThrArtifacts(w, 4, mtWorkload(4))
 		if err != nil {
@@ -313,7 +313,8 @@ func TestThreadMultipleDeterministic(t *testing.T) {
 // and raising the cost moves virtual time.
 func TestThreadArbitrationCharged(t *testing.T) {
 	elapsed := func(cost vtime.Duration) (vtime.Time, HostStats, []byte) {
-		w := thrWorld(2, 2, Profile{ThreadLevel: ThreadMultiple, LockArbitrationCost: cost})
+		w := thrWorld(2, 2, Profile{ThreadLevel: ThreadMultiple})
+		w.lockArbitration = cost
 		met := metrics.NewRegistry()
 		w.SetMetrics(met)
 		var max vtime.Time
@@ -346,7 +347,7 @@ func TestThreadArbitrationCharged(t *testing.T) {
 		t.Fatalf("expected contended entries: cheap %+v dear %+v", cheapHS.Threads, dearHS.Threads)
 	}
 	if dearT <= cheapT {
-		t.Errorf("raising LockArbitrationCost did not move virtual time: %d vs %d", dearT, cheapT)
+		t.Errorf("raising the arbitration cost did not move virtual time: %d vs %d", dearT, cheapT)
 	}
 	if dearHS.Threads.ArbWaitPs <= cheapHS.Threads.ArbWaitPs {
 		t.Errorf("ArbWaitPs did not grow with the cost: %d vs %d", dearHS.Threads.ArbWaitPs, cheapHS.Threads.ArbWaitPs)
@@ -420,8 +421,8 @@ func TestThreadSerializedOverlap(t *testing.T) {
 func TestThreadEndpointFanOut(t *testing.T) {
 	run := func(endpoints int) vtime.Time {
 		t.Helper()
-		prof := Profile{ThreadLevel: ThreadMultiple, InjectEndpoints: endpoints, EagerInter: 1 << 10, EagerIntra: 1 << 10}
-		w := thrWorld(2, 1, prof)
+		w := thrWorld(2, 1, Profile{ThreadLevel: ThreadMultiple, EagerInter: 1 << 10, EagerIntra: 1 << 10})
+		w.injectEndpoints = endpoints
 		var maxT vtime.Time
 		clocks := make([]vtime.Time, 2)
 		err := w.Run(func(p *Proc) error {
@@ -474,11 +475,6 @@ func TestProfileValidateThreading(t *testing.T) {
 	bad := []Profile{
 		{ThreadLevel: -1},
 		{ThreadLevel: 5},
-		{LockArbitrationCost: -vtime.Nanosecond},
-		{ThreadLevel: ThreadSingle, LockArbitrationCost: vtime.Nanosecond},
-		{InjectEndpoints: -2},
-		{ThreadLevel: ThreadSerialized, InjectEndpoints: 2},
-		{ThreadLevel: ThreadSingle, InjectEndpoints: 4},
 	}
 	for i, pr := range bad {
 		if err := pr.Validate(); err == nil {
@@ -487,10 +483,9 @@ func TestProfileValidateThreading(t *testing.T) {
 	}
 	good := []Profile{
 		{},
-		{ThreadLevel: ThreadMultiple, InjectEndpoints: 8, LockArbitrationCost: vtime.Microsecond},
+		{ThreadLevel: ThreadMultiple},
 		{ThreadLevel: ThreadFunneled},
 		{ThreadLevel: ThreadSingle},
-		{InjectEndpoints: 1},
 	}
 	for i, pr := range good {
 		if err := pr.Validate(); err != nil {

@@ -1,7 +1,7 @@
 package nativempi
 
-// Request-set completion operations (MPI_Waitany / MPI_Testall /
-// MPI_Waitsome). Completed or nil entries follow the MPI convention of
+// Request-set completion operations (MPI_Waitany / MPI_Testall).
+// Completed or nil entries follow the MPI convention of
 // being skipped (inactive requests).
 
 // Waitany blocks until at least one of the requests completes and
@@ -56,48 +56,3 @@ func Testall(reqs []*Request) (bool, error) {
 	}
 	return true, Waitall(reqs)
 }
-
-// Waitsome blocks until at least one request completes, then finalizes
-// and returns the indices of ALL currently-complete requests. Returns
-// nil indices when no active requests remain (MPI_UNDEFINED).
-func Waitsome(reqs []*Request) ([]int, error) {
-	var p *Proc
-	for _, r := range reqs {
-		if r != nil && !r.completedAndWaited() {
-			p = r.p
-			break
-		}
-	}
-	if p == nil {
-		return nil, nil
-	}
-	p.poll()
-	var idx []int
-	var first error
-	collect := func() {
-		for i, r := range reqs {
-			if r == nil || r.waitedFlag() {
-				continue
-			}
-			if r.done {
-				if _, err := r.Wait(); err != nil && first == nil {
-					first = err
-				}
-				idx = append(idx, i)
-			}
-		}
-	}
-	collect()
-	for len(idx) == 0 {
-		p.progressOnce()
-		collect()
-	}
-	return idx, first
-}
-
-// completedAndWaited reports whether the request has been fully
-// consumed by a prior Wait.
-func (r *Request) completedAndWaited() bool { return r.waited }
-
-// waitedFlag exposes the consumed state for Waitsome's bookkeeping.
-func (r *Request) waitedFlag() bool { return r.waited }

@@ -41,6 +41,12 @@ type World struct {
 	// require !ft, see Proc.rdmaOK).
 	rdmaProto bool
 
+	// lockArbitration and injectEndpoints are the thread model's
+	// lockArbitrationCost and injectEndpoints, held per world so that
+	// the arbitration and fan-out tests can vary them.
+	lockArbitration vtime.Duration
+	injectEndpoints int
+
 	// Fault-tolerance state (see ft.go). ft selects the ULFM-style
 	// policy: a rank crash becomes a survivable event instead of a job
 	// abort. deathAt is the global failure registry (virtual death
@@ -66,6 +72,7 @@ func NewWorld(topo *cluster.Topology, fab *fabric.Fabric, prof Profile) *World {
 	w := &World{topo: topo, fab: fab, prof: prof.normalize()}
 	w.flowOn = w.prof.EagerCredits > 0
 	w.rdmaProto = w.prof.RDMAThreshold > 0 && fab.Faults() == nil
+	w.lockArbitration, w.injectEndpoints = lockArbitrationCost, injectEndpoints
 	w.nextCtx.Store(2)
 	w.procs = make([]*Proc, topo.Size())
 	for r := range w.procs {
@@ -291,14 +298,4 @@ func (w *World) drainPending() {
 			return
 		}
 	}
-}
-
-// MaxClock returns the latest virtual time across all ranks — the
-// job's makespan after Run returns.
-func (w *World) MaxClock() vtime.Time {
-	var maxT vtime.Time
-	for _, p := range w.procs {
-		maxT = vtime.Max(maxT, p.clock.Now())
-	}
-	return maxT
 }
