@@ -1,6 +1,10 @@
 package nativempi
 
-import "mv2j/internal/vtime"
+import (
+	"fmt"
+
+	"mv2j/internal/vtime"
+)
 
 // Accessors that only the tests read.
 
@@ -65,3 +69,52 @@ func (p *Proc) UnackedSends() int {
 // DeadLetters reports how many payload packets were drained from dead
 // ranks' mailboxes after the run (see drainPending).
 func (w *World) DeadLetters() int64 { return w.deadLetters }
+
+// freeListLinked inspects every rank's request free list and reports
+// each entry the engine can still reach through posted, sendPending,
+// recvPending or finPending, and each entry listed twice — a request
+// recycled while linked, or released twice, would be handed out to a
+// second owner. free counts the entries inspected.
+func (w *World) freeListLinked() (bad []string, free int) {
+	for _, p := range w.procs {
+		b, n := p.freeListLinked()
+		bad = append(bad, b...)
+		free += n
+	}
+	return bad, free
+}
+
+// freeListLinked is World.freeListLinked for one rank. The lists are
+// the rank's own, so its goroutine may run the check mid-run.
+func (p *Proc) freeListLinked() (bad []string, free int) {
+	onList := make(map[*Request]bool, len(p.reqFree))
+	for _, r := range p.reqFree {
+		if onList[r] {
+			bad = append(bad, fmt.Sprintf("rank %d: request %p is on the free list twice", p.rank, r))
+		}
+		onList[r] = true
+	}
+	check := func(where string, r *Request) {
+		if onList[r] {
+			bad = append(bad, fmt.Sprintf("rank %d: free request %p is still in %s", p.rank, r, where))
+		}
+	}
+	for _, f := range p.posted.buckets {
+		for _, e := range f.q[f.head:] {
+			check("posted", e.req)
+		}
+	}
+	for _, e := range p.posted.wild {
+		check("posted", e.req)
+	}
+	for _, r := range p.sendPending {
+		check("sendPending", r)
+	}
+	for _, r := range p.recvPending {
+		check("recvPending", r)
+	}
+	for _, r := range p.finPending {
+		check("finPending", r)
+	}
+	return bad, len(p.reqFree)
+}
