@@ -115,6 +115,9 @@ type Request struct {
 	// waited records that a Wait consumed this request (used by
 	// Waitsome to report each completion exactly once).
 	waited bool
+	// free marks a request on its rank's free list (putReq sets it,
+	// getReq clears it), so a second release cannot list it twice.
+	free bool
 }
 
 // sendOpts parameterise internal sends (collective traffic uses the
@@ -313,6 +316,7 @@ func (c *Comm) Send(buf []byte, dst, tag int) error {
 		return err
 	}
 	_, err = req.Wait()
+	req.Release()
 	return err
 }
 
@@ -323,7 +327,9 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return req.Wait()
+	st, err := req.Wait()
+	req.Release()
+	return st, err
 }
 
 // Sendrecv runs a send and a receive concurrently — the classic
@@ -350,10 +356,14 @@ func (c *Comm) SendrecvPayload(send Payload, dst, sendTag int, recv Payload, src
 	if err != nil {
 		return Status{}, err
 	}
-	if _, err := sreq.Wait(); err != nil {
-		return Status{}, err
+	_, err = sreq.Wait()
+	sreq.Release()
+	if err != nil {
+		return Status{}, err // rreq stays unconsumed and is not released
 	}
-	return rreq.Wait()
+	st, err := rreq.Wait()
+	rreq.Release()
+	return st, err
 }
 
 // Probe blocks until a message matching (src, tag) is available and
@@ -424,6 +434,19 @@ func (r *Request) consume() {
 	if !r.waited {
 		r.waited = true
 		r.p.inflight--
+	}
+}
+
+// Release hands a consumed request back to its rank's free list, the
+// analogue of MPI_Request_free on a completed request. It does
+// nothing unless the request is done and a Wait or a successful Test
+// has consumed it, and a second Release is a no-op. The caller must be
+// the request's last holder: after Release the struct belongs to the
+// next operation the rank issues, so every read of its status must
+// come first.
+func (r *Request) Release() {
+	if r != nil && r.done && r.waited {
+		r.p.putReq(r)
 	}
 }
 
