@@ -1,6 +1,9 @@
 package nativempi
 
-import "mv2j/internal/jvm"
+import (
+	"mv2j/internal/cluster"
+	"mv2j/internal/jvm"
+)
 
 // Topology-aware (shared-memory-leader-based) collectives — the
 // algorithms behind MVAPICH2's collective advantage on multi-node
@@ -23,21 +26,29 @@ func indexOf(list []int, v int) int {
 	return -1
 }
 
-// planNodeMembers partitions the communicator's members by node: one
-// comm-rank list per node, members in comm order, node groups ordered
-// by first appearance in the comm — deterministic and identical on
-// every member. It also returns the caller's node (mine) and its index
-// in that node's list (my). Memoized per Comm (membership is
-// immutable; shrink builds a fresh Comm), because rebuilding it on
-// every collective is O(p) per rank — O(p²) per operation across the
-// job.
+// planNodeMembers partitions the communicator's members by node (see
+// partitionByNode) and returns the partition, the caller's node (mine)
+// and its index in that node's list (my). Memoized per Comm
+// (membership is immutable; shrink builds a fresh Comm), because
+// rebuilding it on every collective is O(p) per rank — O(p²) per
+// operation across the job. MPI_COMM_WORLD's comes prebuilt from
+// NewWorld, one partition shared by every rank.
 func (c *Comm) planNodeMembers() (nodes [][]int, mine, my int) {
-	if c.nodes != nil {
-		return c.nodes, c.myNode, c.myNodeIdx
+	if c.nodes == nil {
+		c.nodes, c.myNode, c.myNodeIdx = partitionByNode(c.p.w.topo, c.group, c.myRank)
 	}
-	topo := c.p.w.topo
+	return c.nodes, c.myNode, c.myNodeIdx
+}
+
+// partitionByNode splits a member list (world ranks in comm-rank
+// order) by node: one comm-rank list per node, members in comm order,
+// node groups ordered by first appearance — deterministic and
+// identical on every member. It also returns the node of comm rank me
+// and me's index in that node's list. Nothing writes the result in
+// place, so one partition can serve every member.
+func partitionByNode(topo *cluster.Topology, group []int, me int) (nodes [][]int, mine, my int) {
 	idx := map[int]int{}
-	for r, wr := range c.group {
+	for r, wr := range group {
 		n := topo.NodeOf(wr)
 		i, ok := idx[n]
 		if !ok {
@@ -45,13 +56,12 @@ func (c *Comm) planNodeMembers() (nodes [][]int, mine, my int) {
 			idx[n] = i
 			nodes = append(nodes, nil)
 		}
-		if r == c.myRank {
-			c.myNode, c.myNodeIdx = i, len(nodes[i])
+		if r == me {
+			mine, my = i, len(nodes[i])
 		}
 		nodes[i] = append(nodes[i], r)
 	}
-	c.nodes = nodes
-	return nodes, c.myNode, c.myNodeIdx
+	return nodes, mine, my
 }
 
 // sectionBounds returns the [start, end) bounds of section s when a

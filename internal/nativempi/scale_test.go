@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mv2j/internal/jvm"
@@ -145,5 +146,33 @@ func TestMultiLeaderLeadersKnob(t *testing.T) {
 				return c.allreduceMultiLeader(send, recv, jvm.Long, OpSum, 4, L)
 			})
 		})
+	}
+}
+
+// TestWorldSetupBytesPerRankFlat pins world set-up as O(np) in total:
+// MPI_COMM_WORLD's member list and node partition are built once per
+// World and shared, so the Go heap bytes a barrier-only world costs per
+// rank stay flat — within 1.2× — from np=256 to np=1024. A per-rank
+// copy of either makes the per-rank cost grow with np.
+func TestWorldSetupBytesPerRankFlat(t *testing.T) {
+	perRank := func(nodes, ppn int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := worldWith(Profile{}, nodes, ppn)
+		err := w.Run(func(p *Proc) error { return p.CommWorld().Barrier() })
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(nodes*ppn)
+	}
+	perRank(32, 32) // warm the process-wide packet and wire pools for both sizes
+	small, large := perRank(8, 32), perRank(32, 32)
+	t.Logf("set-up bytes per rank: np=256 %.0f, np=1024 %.0f", small, large)
+	if raceEnabled {
+		t.Skip("race detector randomly discards sync.Pool puts; the budget only holds in a normal build")
+	}
+	if large > 1.2*small {
+		t.Errorf("set-up bytes per rank grow with np: %.0f at np=256, %.0f at np=1024 (limit 1.2x)", small, large)
 	}
 }

@@ -74,9 +74,21 @@ func NewWorld(topo *cluster.Topology, fab *fabric.Fabric, prof Profile) *World {
 	w.rdmaProto = w.prof.RDMAThreshold > 0 && fab.Faults() == nil
 	w.lockArbitration, w.injectEndpoints = lockArbitrationCost, injectEndpoints
 	w.nextCtx.Store(2)
+	// MPI_COMM_WORLD's member list and node partition are built once
+	// and shared by every rank's view: nothing writes a group in place
+	// (Comm.Group hands out a copy; Split, Shrink and CreateFromGroup
+	// build fresh slices).
+	group := identity(topo.Size())
+	nodes, _, _ := partitionByNode(topo, group, -1)
 	w.procs = make([]*Proc, topo.Size())
 	for r := range w.procs {
-		w.procs[r] = newProc(w, r)
+		w.procs[r] = newProc(w, r, group)
+	}
+	for i, members := range nodes {
+		for j, r := range members {
+			c := w.procs[r].world
+			c.nodes, c.myNode, c.myNodeIdx = nodes, i, j
+		}
 	}
 	return w
 }
