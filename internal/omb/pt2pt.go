@@ -108,7 +108,13 @@ func waitAny(ws []waiter) (int, error) {
 		i, _, err := nativempi.Waitany(reqs)
 		return i, err
 	}
-	reqs := make([]*core.Request, len(ws))
+	// A stack array, with make for longer lists: a shared scratch slice
+	// would be clobbered by a second simulated thread blocked here.
+	var stack [core.WaitanyStack]*core.Request
+	reqs := stack[:min(len(ws), core.WaitanyStack)]
+	if len(ws) > core.WaitanyStack {
+		reqs = make([]*core.Request, len(ws))
+	}
 	for i, w := range ws {
 		if w != nil {
 			reqs[i] = w.(coreWaiter).r
