@@ -36,14 +36,14 @@ type Costs struct {
 	ReleaseElementsFixed vtime.Duration
 }
 
-// DefaultCosts returns crossing costs in the range measured for real
-// JNI downcalls on OpenJDK (a few hundred nanoseconds per call pair).
-func DefaultCosts() Costs {
-	return Costs{
-		Crossing:             vtime.Nanos(140),
-		GetElementsFixed:     vtime.Nanos(80),
-		ReleaseElementsFixed: vtime.Nanos(80),
-	}
+// costs holds the crossing costs every Env charges: one package-level
+// value, since nothing varies it per instance. They are in the range
+// measured for real JNI downcalls on OpenJDK (a few hundred
+// nanoseconds per call pair).
+var costs = Costs{
+	Crossing:             vtime.Nanos(140),
+	GetElementsFixed:     vtime.Nanos(80),
+	ReleaseElementsFixed: vtime.Nanos(80),
 }
 
 // ReleaseMode selects Release<Type>ArrayElements behaviour.
@@ -72,16 +72,15 @@ type Stats struct {
 // Env is one rank's JNI environment.
 type Env struct {
 	m     *jvm.Machine
-	costs Costs
 	stats Stats
 }
 
-// New builds an Env over machine m with the default costs.
+// New builds an Env over machine m.
 func New(m *jvm.Machine) *Env {
 	if m == nil {
 		panic("jni: nil machine")
 	}
-	return &Env{m: m, costs: DefaultCosts()}
+	return &Env{m: m}
 }
 
 // Machine returns the JVM this environment belongs to.
@@ -92,7 +91,7 @@ func (e *Env) Stats() Stats { return e.stats }
 
 func (e *Env) cross() {
 	e.stats.Calls++
-	e.m.Charge(e.costs.Crossing)
+	e.m.Charge(costs.Crossing)
 }
 
 // CallNative models invoking a native function through JNI: one
@@ -105,7 +104,7 @@ func (e *Env) CallNative() { e.cross() }
 // is paid even when only a subset is needed.
 func (e *Env) GetArrayElements(a jvm.Array) []byte {
 	e.cross()
-	e.m.Charge(e.costs.GetElementsFixed)
+	e.m.Charge(costs.GetElementsFixed)
 	n := a.SizeBytes()
 	e.m.ChargeBulk(n)
 	e.stats.ArrayCopyOut++
@@ -124,7 +123,7 @@ func (e *Env) ReleaseArrayElements(a jvm.Array, elems []byte, mode ReleaseMode) 
 			len(elems), a.SizeBytes()))
 	}
 	e.cross()
-	e.m.Charge(e.costs.ReleaseElementsFixed)
+	e.m.Charge(costs.ReleaseElementsFixed)
 	if mode != Abort {
 		copy(a.RawBytes(), elems)
 		e.m.ChargeBulk(len(elems))

@@ -190,7 +190,7 @@ func TestCrossingChargesTime(t *testing.T) {
 	e, _, clock := newEnv(t)
 	t0 := clock.Now()
 	e.CallNative()
-	if clock.Now().Sub(t0) != DefaultCosts().Crossing {
+	if clock.Now().Sub(t0) != costs.Crossing {
 		t.Fatal("CallNative did not charge one crossing")
 	}
 	if e.Stats().Calls != 1 {

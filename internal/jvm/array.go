@@ -90,7 +90,7 @@ func (a Array) SetInt(i int, v int64) {
 	}
 	sz := a.kind.Size()
 	putBits(a.payload(), i*sz, sz, intToBits(a.kind, v), false)
-	a.m.clock.Advance(a.m.costs.ArrayWrite)
+	a.m.clock.Advance(costs.ArrayWrite)
 }
 
 // Int loads index i of an integral array, charging one array read.
@@ -101,7 +101,7 @@ func (a Array) Int(i int) int64 {
 	}
 	sz := a.kind.Size()
 	bits := getBits(a.payload(), i*sz, sz, false)
-	a.m.clock.Advance(a.m.costs.ArrayRead)
+	a.m.clock.Advance(costs.ArrayRead)
 	return bitsToInt(a.kind, bits)
 }
 
@@ -113,7 +113,7 @@ func (a Array) SetFloat(i int, v float64) {
 	}
 	sz := a.kind.Size()
 	putBits(a.payload(), i*sz, sz, floatToBits(a.kind, v), false)
-	a.m.clock.Advance(a.m.costs.ArrayWrite)
+	a.m.clock.Advance(costs.ArrayWrite)
 }
 
 // Float loads index i of a float/double array.
@@ -124,7 +124,7 @@ func (a Array) Float(i int) float64 {
 	}
 	sz := a.kind.Size()
 	bits := getBits(a.payload(), i*sz, sz, false)
-	a.m.clock.Advance(a.m.costs.ArrayRead)
+	a.m.clock.Advance(costs.ArrayRead)
 	return bitsToFloat(a.kind, bits)
 }
 

@@ -148,7 +148,7 @@ func TestElementAccessCostsCharged(t *testing.T) {
 		a.SetInt(i, int64(i))
 	}
 	writeCost := clock.Now().Sub(start)
-	want := vtime.PerElement(1000, DefaultCosts().ArrayWrite)
+	want := vtime.PerElement(1000, costs.ArrayWrite)
 	if writeCost != want {
 		t.Fatalf("1000 array writes charged %v, want %v", writeCost, want)
 	}
@@ -157,11 +157,10 @@ func TestElementAccessCostsCharged(t *testing.T) {
 func TestBufferElementAccessSlowerThanArray(t *testing.T) {
 	// The mechanism behind Fig. 18: per-element buffer access must cost
 	// more than array access.
-	c := DefaultCosts()
-	if c.BufferWrite <= c.ArrayWrite || c.BufferRead <= c.ArrayRead {
+	if costs.BufferWrite <= costs.ArrayWrite || costs.BufferRead <= costs.ArrayRead {
 		t.Fatal("cost model must make ByteBuffer element access slower than arrays")
 	}
-	ratio := float64(c.BufferWrite+c.BufferRead) / float64(c.ArrayWrite+c.ArrayRead)
+	ratio := float64(costs.BufferWrite+costs.BufferRead) / float64(costs.ArrayWrite+costs.ArrayRead)
 	if ratio < 2 || ratio > 6 {
 		t.Fatalf("buffer/array access ratio %.2f outside plausible [2,6]", ratio)
 	}

@@ -68,7 +68,7 @@ func (m *Machine) AllocateDirect(n int) (*ByteBuffer, error) {
 	clear(m.arena.bytes(off, n))
 	m.stats.DirectAllocs++
 	m.stats.DirectBytes += int64(n)
-	m.clock.Advance(m.costs.AllocDirect + vtime.PerElement(n, m.costs.AllocPerByte))
+	m.clock.Advance(costs.AllocDirect + vtime.PerElement(n, costs.AllocPerByte))
 	return &ByteBuffer{m: m, direct: true, off: off, cap: n, limit: n, mark: -1}, nil
 }
 
@@ -105,7 +105,7 @@ func (b *ByteBuffer) Free() {
 			panic(errReleased)
 		}
 		b.m.arena.release(b.off, b.cap)
-		b.m.clock.Advance(b.m.costs.FreeDirect)
+		b.m.clock.Advance(costs.FreeDirect)
 		b.cap, b.limit, b.pos = 0, 0, 0
 		return
 	}
@@ -237,7 +237,7 @@ func (b *ByteBuffer) PutIntKind(k Kind, v int64) {
 func (b *ByteBuffer) PutIntKindAt(k Kind, i int, v int64) {
 	b.checkIndex(i, k.Size())
 	putBits(b.storage(), i, k.Size(), intToBits(k, v), b.order == BigEndian)
-	b.m.clock.Advance(b.m.costs.BufferWrite)
+	b.m.clock.Advance(costs.BufferWrite)
 }
 
 // IntKind reads an integral value of kind k at the position, advancing.
@@ -251,7 +251,7 @@ func (b *ByteBuffer) IntKind(k Kind) int64 {
 func (b *ByteBuffer) IntKindAt(k Kind, i int) int64 {
 	b.checkIndex(i, k.Size())
 	bits := getBits(b.storage(), i, k.Size(), b.order == BigEndian)
-	b.m.clock.Advance(b.m.costs.BufferRead)
+	b.m.clock.Advance(costs.BufferRead)
 	return bitsToInt(k, bits)
 }
 
@@ -265,7 +265,7 @@ func (b *ByteBuffer) PutFloatKind(k Kind, v float64) {
 func (b *ByteBuffer) PutFloatKindAt(k Kind, i int, v float64) {
 	b.checkIndex(i, k.Size())
 	putBits(b.storage(), i, k.Size(), floatToBits(k, v), b.order == BigEndian)
-	b.m.clock.Advance(b.m.costs.BufferWrite)
+	b.m.clock.Advance(costs.BufferWrite)
 }
 
 func (b *ByteBuffer) FloatKind(k Kind) float64 {
@@ -277,7 +277,7 @@ func (b *ByteBuffer) FloatKind(k Kind) float64 {
 func (b *ByteBuffer) FloatKindAt(k Kind, i int) float64 {
 	b.checkIndex(i, k.Size())
 	bits := getBits(b.storage(), i, k.Size(), b.order == BigEndian)
-	b.m.clock.Advance(b.m.costs.BufferRead)
+	b.m.clock.Advance(costs.BufferRead)
 	return bitsToFloat(k, bits)
 }
 

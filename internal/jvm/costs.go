@@ -38,27 +38,29 @@ type AccessCosts struct {
 	GCBandwidth float64
 }
 
-// DefaultCosts returns the calibrated cost model. Values are in the
-// range JMH microbenchmarks report for OpenJDK on Cascade Lake-class
-// hardware; the ~3.5x buffer-vs-array element-access gap reproduces
-// Fig. 18's 3x verdict at 4 MB, and the 256 B crossover falls out of
-// the fixed copy overheads of the array path.
-func DefaultCosts() AccessCosts {
-	return AccessCosts{
-		ArrayRead:     vtime.Nanos(0.30),
-		ArrayWrite:    vtime.Nanos(0.32),
-		BufferRead:    vtime.Nanos(1.05),
-		BufferWrite:   vtime.Nanos(1.15),
-		BulkBandwidth: 20e9,
-		BulkFixed:     vtime.Nanos(40),
-		AllocHeap:     vtime.Nanos(120),
-		AllocPerByte:  vtime.Nanos(0.03),
-		AllocDirect:   vtime.Micros(2.0),
-		FreeDirect:    vtime.Nanos(400),
-		GCFixed:       vtime.Micros(20),
-		GCBandwidth:   10e9,
-	}
+// costs is the calibrated cost model every Machine charges: one
+// package-level value, since nothing varies it per instance. Values are
+// in the range JMH microbenchmarks report for OpenJDK on Cascade
+// Lake-class hardware; the ~3.5x buffer-vs-array element-access gap
+// reproduces Fig. 18's 3x verdict at 4 MB, and the 256 B crossover
+// falls out of the fixed copy overheads of the array path.
+var costs = AccessCosts{
+	ArrayRead:     vtime.Nanos(0.30),
+	ArrayWrite:    vtime.Nanos(0.32),
+	BufferRead:    vtime.Nanos(1.05),
+	BufferWrite:   vtime.Nanos(1.15),
+	BulkBandwidth: 20e9,
+	BulkFixed:     vtime.Nanos(40),
+	AllocHeap:     vtime.Nanos(120),
+	AllocPerByte:  vtime.Nanos(0.03),
+	AllocDirect:   vtime.Micros(2.0),
+	FreeDirect:    vtime.Nanos(400),
+	GCFixed:       vtime.Micros(20),
+	GCBandwidth:   10e9,
 }
+
+// DefaultCosts returns the cost model every Machine charges.
+func DefaultCosts() AccessCosts { return costs }
 
 // bulk returns the cost of a bulk copy of n bytes.
 func (c AccessCosts) bulk(n int) vtime.Duration {

@@ -72,7 +72,6 @@ type Options struct {
 // goroutine and is not safe for concurrent use.
 type Machine struct {
 	clock     *vtime.Clock
-	costs     AccessCosts
 	heap      []byte
 	used      int
 	slots     []objSlot
@@ -110,7 +109,6 @@ func NewMachine(clock *vtime.Clock, opts Options) *Machine {
 	}
 	return &Machine{
 		clock: clock,
-		costs: DefaultCosts(),
 		heap:  takeStorage(heapSize),
 		arena: newArena(arenaSize),
 	}
@@ -171,7 +169,7 @@ func (m *Machine) allocHeap(kind Kind, elems, size int) (Ref, error) {
 	s.gen++
 	m.stats.HeapAllocs++
 	m.stats.HeapAllocBytes += int64(size)
-	m.clock.Advance(m.costs.AllocHeap + vtime.PerElement(size, m.costs.AllocPerByte))
+	m.clock.Advance(costs.AllocHeap + vtime.PerElement(size, costs.AllocPerByte))
 	return makeRef(idx, s.gen), nil
 }
 
@@ -261,7 +259,7 @@ func (m *Machine) GC() error {
 	m.used = dst
 	m.stats.Collections++
 	m.stats.BytesMoved += moved
-	pause := m.costs.GCFixed + vtime.PerByte(m.liveBytes, m.costs.GCBandwidth)
+	pause := costs.GCFixed + vtime.PerByte(m.liveBytes, costs.GCBandwidth)
 	m.stats.GCPause += pause
 	start := m.clock.Now()
 	m.clock.Advance(pause)
@@ -296,7 +294,7 @@ func (m *Machine) InCritical() bool { return m.critical > 0 }
 // ChargeBulk charges the memcpy-rate cost of moving n bytes. Exposed
 // for the JNI and buffering layers, which move data on behalf of the
 // Java program.
-func (m *Machine) ChargeBulk(n int) { m.clock.Advance(m.costs.bulk(n)) }
+func (m *Machine) ChargeBulk(n int) { m.clock.Advance(costs.bulk(n)) }
 
 // Charge advances the machine's clock by d. The JNI layer uses it for
 // call-crossing overheads.

@@ -91,8 +91,8 @@ func TestGCChargesPause(t *testing.T) {
 		t.Fatal(err)
 	}
 	pause := clock.Now().Sub(before)
-	if pause < DefaultCosts().GCFixed {
-		t.Fatalf("GC pause %v below fixed cost %v", pause, DefaultCosts().GCFixed)
+	if pause < costs.GCFixed {
+		t.Fatalf("GC pause %v below fixed cost %v", pause, costs.GCFixed)
 	}
 }
 

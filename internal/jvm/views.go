@@ -85,7 +85,7 @@ func (v *TypedBuffer) PutIntAt(i int, val int64) {
 	}
 	off := v.byteIndex(i)
 	putBits(v.bb.storage(), off, v.kind.Size(), intToBits(v.kind, val), v.big)
-	v.bb.m.clock.Advance(v.bb.m.costs.BufferWrite)
+	v.bb.m.clock.Advance(costs.BufferWrite)
 }
 
 // Int loads the integral element at the position, advancing it.
@@ -102,7 +102,7 @@ func (v *TypedBuffer) IntAt(i int) int64 {
 	}
 	off := v.byteIndex(i)
 	bits := getBits(v.bb.storage(), off, v.kind.Size(), v.big)
-	v.bb.m.clock.Advance(v.bb.m.costs.BufferRead)
+	v.bb.m.clock.Advance(costs.BufferRead)
 	return bitsToInt(v.kind, bits)
 }
 
@@ -118,7 +118,7 @@ func (v *TypedBuffer) PutFloatAt(i int, val float64) {
 	}
 	off := v.byteIndex(i)
 	putBits(v.bb.storage(), off, v.kind.Size(), floatToBits(v.kind, val), v.big)
-	v.bb.m.clock.Advance(v.bb.m.costs.BufferWrite)
+	v.bb.m.clock.Advance(costs.BufferWrite)
 }
 
 func (v *TypedBuffer) Float() float64 {
@@ -133,7 +133,7 @@ func (v *TypedBuffer) FloatAt(i int) float64 {
 	}
 	off := v.byteIndex(i)
 	bits := getBits(v.bb.storage(), off, v.kind.Size(), v.big)
-	v.bb.m.clock.Advance(v.bb.m.costs.BufferRead)
+	v.bb.m.clock.Advance(costs.BufferRead)
 	return bitsToFloat(v.kind, bits)
 }
 
